@@ -8,15 +8,15 @@ is conserved by the dynamics.
 
 import numpy as np
 
-from kslyap import (DomainSpec, IntegratorConfig, PeriodicSpectralModel,
-                    integrate, sample_initial_condition)
+from kslyap import (DomainSpec, IntegratorConfig, initial_state, integrate,
+                    make_model, scheme_for)
 
 spec = DomainSpec(L=60.0, bc="periodic")
-model = PeriodicSpectralModel(spec)
+model = make_model(spec)
 system = model.build_system()
-cfg = IntegratorConfig(dt=0.05, scheme="etdrk4")
+cfg = IntegratorConfig(dt=0.05, scheme=scheme_for(spec.bc))
 
-state = sample_initial_condition(spec, seed=3)
+state = initial_state(model.dim, seed=3)
 mean0 = model.field_mean(state)
 
 # discard the transient, then sample every 2 time units

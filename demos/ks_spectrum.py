@@ -8,12 +8,13 @@ N = 1000.
 """
 
 from kslyap import (DomainSpec, IntegratorConfig, LyapunovConfig,
-                    compute_spectrum, kaplan_yorke, make_ks)
+                    compute_spectrum, kaplan_yorke, make_model, scheme_for)
 
-system = make_ks(DomainSpec(L=22.0, bc="periodic"))
+spec = DomainSpec(L=22.0, bc="periodic")
+system = make_model(spec).build_system()
 cfg = LyapunovConfig(
     m=10, tau=500.0, T=2.0, N=400, epsilon=1e-6, seed=0,
-    integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    integrator=IntegratorConfig(dt=0.05, scheme=scheme_for(spec.bc)))
 
 result = compute_spectrum(system, cfg)
 print(f"KS periodic, L = 22, averaging time NT = {cfg.N * cfg.T:g}")

@@ -2,14 +2,14 @@
 equation on periodic and odd-periodic domains."""
 
 from .dynamics import (DynamicalSystem, IntegratorConfig, diagonal_linear_system,
-                       integrate, jacobian_trace_average, lorenz_system)
+                       initial_state, integrate, jacobian_trace_average,
+                       lorenz_system)
 from .errors import (DegenerateDivisor, EmptyWindow, FingerprintMismatch,
                      InsufficientData, IntegrationBlowUp, KslyapError,
                      NonFiniteColumn, RankDeficient, ResolutionTooCoarse,
                      SingularNormalEquations)
 from .ks import (DomainSpec, ODD_PERIODIC, OddPeriodicFDModel, PERIODIC,
-                 PeriodicSpectralModel, field_mean, make_ks, make_model,
-                 make_oddperiodic_ks, make_periodic_ks, sample_initial_condition)
+                 PeriodicSpectralModel, make_model, scheme_for)
 from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum,
                        propagate_frame, reorthonormalize,
                        scan_reorthonormalization_interval)
@@ -18,6 +18,6 @@ from .analysis import (KaplanYorkeResult, PowerLawFit, WindowedStat,
                        kaplan_yorke, mean_abs_deviation, predict_exponent,
                        scan_exponent_p, windowed_median_mad)
 from .sweep import (SpectrumRecord, SweepPlan, compute_point, read_records,
-                    resume_sweep, run_sweep)
+                    run_sweep)
 
 __version__ = "0.1.0"

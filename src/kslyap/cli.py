@@ -13,18 +13,19 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dynamics import IntegratorConfig, integrate, lorenz_system, diagonal_linear_system
+from .dynamics import (IntegratorConfig, initial_state, integrate, lorenz_system,
+                       diagonal_linear_system)
 from .errors import KslyapError
-from .ks import (DomainSpec, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC,
-                 make_model, sample_initial_condition)
+from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model, scheme_for
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
-from .sweep import (SpectrumRecord, SweepPlan, header_row, read_records,
+from .sweep import (SpectrumRecord, SweepPlan, _g17, header_row, read_records,
                     record_to_row, run_sweep)
 
+_LYAP = LyapunovConfig()
 _DEFAULTS = {
-    "bc": PERIODIC, "m": 24, "tau": 2000.0, "T": 2.0, "N": 1000,
-    "epsilon": 1e-6, "seed": 0, "dt": 0.05, "kmax": DEFAULT_K_MAX,
-    "dL": 0.1, "workers": 1, "t_end": 500.0, "dt_out": 0.5,
+    "bc": PERIODIC, "m": _LYAP.m, "tau": _LYAP.tau, "T": _LYAP.T, "N": _LYAP.N,
+    "epsilon": _LYAP.epsilon, "seed": _LYAP.seed, "dt": _LYAP.integrator.dt,
+    "kmax": DEFAULT_K_MAX, "dL": 0.1, "workers": 1, "t_end": 500.0, "dt_out": 0.5,
     "halfwidth": 1.0, "p_grid": "0.02:0.02:2.0", "Lmin_fit": 80.0,
 }
 
@@ -57,28 +58,16 @@ def _effective(args, keys):
     return out
 
 
-def _num(v, cast=float):
-    return None if v is None else cast(v)
-
-
-def _scheme_for(bc):
-    return "etdrk4" if bc == PERIODIC else "imex_cnab2"
-
-
 def _lyap_config(cfg):
     return LyapunovConfig(
         m=int(cfg["m"]), tau=float(cfg["tau"]), T=float(cfg["T"]),
         N=int(cfg["N"]), epsilon=float(cfg["epsilon"]), seed=int(cfg["seed"]),
-        integrator=IntegratorConfig(dt=float(cfg["dt"]), scheme=_scheme_for(cfg["bc"])))
+        integrator=IntegratorConfig(dt=float(cfg["dt"]), scheme=scheme_for(cfg["bc"])))
 
 
 def _meta_lines(cmd, cfg):
     pairs = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     return [f"# kslyap {cmd}", f"# {pairs}"]
-
-
-def _g17(x):
-    return f"{x:.17g}"
 
 
 def _parse_grid(text):
@@ -94,8 +83,8 @@ def cmd_simulate(args):
     bc, L = cfg["bc"], float(cfg["L"])
     model = make_model(DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"])))
     system = model.build_system()
-    integrator = IntegratorConfig(dt=float(cfg["dt"]), scheme=_scheme_for(bc))
-    state = sample_initial_condition(model.spec, int(cfg["seed"]))
+    integrator = IntegratorConfig(dt=float(cfg["dt"]), scheme=scheme_for(bc))
+    state = initial_state(model.dim, int(cfg["seed"]))
     t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
     times = np.round(np.arange(int(np.floor(t_end / dt_out + 0.5)) + 1) * dt_out, 10)
     times = times[times <= t_end + dt_out / 2]
@@ -288,8 +277,6 @@ def build_parser():
     for flag in ("--bc", "--L-start", "--L-end", "--dL", "--kmax", "--m",
                  "--tau", "--T", "--N", "--epsilon", "--seed", "--dt", "--workers"):
         p.add_argument(flag)
-    p.add_argument("--resume", action="store_true",
-                   help="(sweeps always resume an existing --out)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="windowed stats, p-scan, and power-law fit")

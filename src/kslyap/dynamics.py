@@ -1,10 +1,10 @@
 """Autonomous dynamical systems and fixed-step time integration.
 
 A system is described by its dimension and a right-hand-side function
-``rhs(t, u)``.  States are 1-D real arrays of length ``dim``; systems that set
-``batched=True`` additionally accept a ``(batch, dim)`` array of states and
-return the elementwise right-hand sides, which lets callers propagate many
-trajectories in lockstep (used heavily by the Lyapunov engine).
+``rhs(t, u)``.  States are 1-D real arrays of length ``dim``; ``rhs`` also
+accepts a ``(batch, dim)`` array of states and returns the elementwise
+right-hand sides, which lets callers propagate many trajectories in lockstep
+(used heavily by the Lyapunov engine).
 
 Three fixed-step schemes are provided:
 
@@ -17,7 +17,7 @@ Three fixed-step schemes are provided:
                     the rest, for systems with a stiff *banded* linear part.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ class DynamicalSystem:
     rhs: Callable
     stiff_linear_part: Optional[np.ndarray] = None
     label: str = ""
-    batched: bool = False
     stiff_linear_matrix: Optional[sp.spmatrix] = None
     frame_factory: Optional[Callable] = None
 
@@ -71,10 +70,7 @@ class DynamicalSystem:
 
     def rhs_batch(self, t, states):
         """Evaluate the RHS for a (batch, dim) block of states."""
-        states = np.asarray(states, dtype=float)
-        if self.batched:
-            return self.rhs(t, states)
-        return np.stack([self.rhs(t, u) for u in states])
+        return self.rhs(t, np.asarray(states, dtype=float))
 
 
 @dataclass
@@ -93,6 +89,15 @@ class IntegratorConfig:
     def validate_for(self, system):
         if self.scheme in ("etdrk4", "imex_cnab2") and system.stiff_linear_part is None:
             raise ValueError(f"{self.scheme} requires system.stiff_linear_part")
+
+
+def initial_state(dim, seed):
+    """I.i.d. standard-normal state components from a PCG64 generator.
+
+    The generator is pinned (numpy PCG64) so the same seed yields the same
+    vector on every platform.
+    """
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
 
 
 def _check_finite(u, t):
@@ -258,17 +263,10 @@ def integrate(system, u0, t0, t1, cfg):
 def divergence(system, t, u, fd_step=1e-6):
     """Divergence of the flow field at u, by central finite differences."""
     n = system.dim
-    if system.batched:
-        eye = np.eye(n)
-        block = np.concatenate([u + fd_step * eye, u - fd_step * eye])
-        f = system.rhs_batch(t, block)
-        return float(np.trace(f[:n] - f[n:]) / (2 * fd_step))
-    total = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = fd_step
-        total += (system.rhs(t, u + e)[i] - system.rhs(t, u - e)[i]) / (2 * fd_step)
-    return float(total)
+    eye = np.eye(n)
+    block = np.concatenate([u + fd_step * eye, u - fd_step * eye])
+    f = system.rhs_batch(t, block)
+    return float(np.trace(f[:n] - f[n:]) / (2 * fd_step))
 
 
 def jacobian_trace_average(system, u0, horizon, cfg):
@@ -301,7 +299,7 @@ def lorenz_system(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
         x, y, z = u[..., 0], u[..., 1], u[..., 2]
         return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
 
-    return DynamicalSystem(dim=3, rhs=rhs, batched=True,
+    return DynamicalSystem(dim=3, rhs=rhs,
                            label=f"lorenz(sigma={sigma:g},rho={rho:g},beta={beta:g})")
 
 
@@ -312,6 +310,6 @@ def diagonal_linear_system(rates):
     def rhs(t, u):
         return rates * u
 
-    return DynamicalSystem(dim=rates.size, rhs=rhs, batched=True,
+    return DynamicalSystem(dim=rates.size, rhs=rhs,
                            stiff_linear_part=rates,
                            label="diaglin(" + ",".join(f"{r:g}" for r in rates) + ")")

@@ -119,7 +119,7 @@ class PeriodicSpectralModel:
     def build_system(self):
         return DynamicalSystem(
             dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
-            batched=True, label=f"ks-periodic(L={self.L:g},n={self.n_modes})")
+            label=f"ks-periodic(L={self.L:g},n={self.n_modes})")
 
 
 class OddPeriodicFDModel:
@@ -202,49 +202,19 @@ class OddPeriodicFDModel:
     def build_system(self):
         return DynamicalSystem(
             dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
-            stiff_linear_matrix=self.linear_matrix, batched=True,
+            stiff_linear_matrix=self.linear_matrix,
             frame_factory=self.sine_frame, label=f"ks-odd(L={self.L:g},n={self.n})")
 
 
 def make_model(spec, **kwargs):
+    """The spatial model for ``spec.bc``; ``.build_system()`` gives its ODE."""
     if spec.bc == PERIODIC:
         return PeriodicSpectralModel(spec, **kwargs)
     return OddPeriodicFDModel(spec, **kwargs)
 
 
-def make_periodic_ks(spec, n_modes=None):
-    """SystemInterface for the periodic pseudospectral discretization."""
-    if spec.bc != PERIODIC:
-        raise ValueError("spec.bc must be periodic")
-    return PeriodicSpectralModel(spec, n_modes=n_modes).build_system()
-
-
-def make_oddperiodic_ks(spec, n_interior=None):
-    """SystemInterface for the odd-periodic finite-difference discretization."""
-    if spec.bc != ODD_PERIODIC:
-        raise ValueError("spec.bc must be odd-periodic")
-    return OddPeriodicFDModel(spec, n_interior=n_interior).build_system()
-
-
-def make_ks(spec, **kwargs):
-    if spec.bc == PERIODIC:
-        return make_periodic_ks(spec, **kwargs)
-    return make_oddperiodic_ks(spec, **kwargs)
-
-
-def sample_initial_condition(spec, seed):
-    """I.i.d. standard-normal state components from a PCG64 generator.
-
-    The generator is pinned (numpy PCG64) so the same seed yields the same
-    vector on every platform.
-    """
-    model = make_model(spec)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(model.dim)
-
-
-def field_mean(state, model):
-    """Spatial mean of the represented field (zero-mode coefficient)."""
-    if not isinstance(model, PeriodicSpectralModel):
-        raise TypeError("field_mean is defined for the periodic spectral model")
-    return model.field_mean(state)
+def scheme_for(bc):
+    """The time-integration scheme each boundary condition's model is run with:
+    ETDRK4 for the diagonal periodic operator, IMEX-CNAB2 for the banded
+    odd-periodic one."""
+    return "etdrk4" if bc == PERIODIC else "imex_cnab2"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, initial_state, integrate
 from .errors import NonFiniteColumn, RankDeficient
 
 
@@ -109,8 +109,8 @@ def reorthonormalize(V):
 def compute_spectrum(system, cfg, u0=None):
     """Run the full reorthonormalization algorithm and return the spectrum.
 
-    The initial condition defaults to a standard-normal state drawn from the
-    config seed; pass ``u0`` to start from a specific state instead.
+    The initial condition defaults to ``initial_state(dim, cfg.seed)``, a
+    standard-normal state; pass ``u0`` to start from a specific state instead.
 
     The frame starts from ``system.initial_frame(m)``: the first m coordinate
     vectors unless the system supplies its own basis.  For the periodic KS
@@ -123,8 +123,7 @@ def compute_spectrum(system, cfg, u0=None):
     if cfg.m > system.dim:
         raise ValueError(f"m={cfg.m} exceeds system dimension {system.dim}")
     if u0 is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        u0 = rng.standard_normal(system.dim)
+        u0 = initial_state(system.dim, cfg.seed)
     t_start = time.perf_counter()
     u = burn_in(system, np.asarray(u0, dtype=float), cfg.tau, cfg.integrator)
     Q = system.initial_frame(cfg.m)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis
 from .errors import FingerprintMismatch
-from .ks import DomainSpec, make_ks, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
+from .ks import DomainSpec, make_model, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
 from .lyapunov import LyapunovConfig, compute_spectrum
 
 #: Records with leading exponent below this are flagged non-chaotic.
@@ -77,14 +77,18 @@ class SweepPlan:
             f"{self.lyap.seed}|{self.bc}|{index}".encode()).digest()
         return int.from_bytes(digest[:8], "little")
 
-    def fingerprint(self):
-        payload = {
+    def _settings(self):
+        """Every setting a row's numbers depend on, apart from its L."""
+        return {
             "bc": self.bc, "dL": self.dL, "k_max": self.k_max,
             "base_seed": self.lyap.seed,
             "m": self.lyap.m, "tau": self.lyap.tau, "T": self.lyap.T,
             "N": self.lyap.N, "epsilon": self.lyap.epsilon,
             "dt": self.lyap.integrator.dt, "scheme": self.lyap.integrator.scheme,
         }
+
+    def fingerprint(self):
+        payload = self._settings()
         if self.bc == ODD_PERIODIC:
             # odd spectra start from sine modes; rows computed from the old
             # coordinate-vector frame must not be mixed in
@@ -93,13 +97,7 @@ class SweepPlan:
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def echo(self):
-        return {
-            "L_start": self.L_start, "L_end": self.L_end, "bc": self.bc,
-            "dL": self.dL, "k_max": self.k_max, "base_seed": self.lyap.seed,
-            "m": self.lyap.m, "tau": self.lyap.tau, "T": self.lyap.T,
-            "N": self.lyap.N, "epsilon": self.lyap.epsilon,
-            "dt": self.lyap.integrator.dt, "scheme": self.lyap.integrator.scheme,
-        }
+        return {"L_start": self.L_start, "L_end": self.L_end, **self._settings()}
 
 
 def _g17(x):
@@ -149,7 +147,7 @@ def compute_point(bc, L, k_max, lyap, seed):
     """Compute one SpectrumRecord; failures are captured in the flags."""
     cfg = replace(lyap, seed=seed)
     try:
-        system = make_ks(DomainSpec(L=L, bc=bc, k_max_target=k_max))
+        system = make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max)).build_system()
         result = compute_spectrum(system, cfg)
     except Exception:
         return SpectrumRecord(L=L, bc=bc, seed=seed,
@@ -174,7 +172,17 @@ def _load_existing(plan, path):
     if meta.get("fingerprint") != plan.fingerprint():
         raise FingerprintMismatch(
             "existing output was produced with a different configuration")
+    _cut_torn_row(path)
     return {rec.L: rec for rec in read_records(path, check_dky=False)}
+
+
+def _cut_torn_row(path):
+    """Drop a final row without its newline: every row is written with one, so
+    such a row was cut short by an interrupted write and its point is not done."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _write_sorted(plan, path, records):
@@ -191,7 +199,8 @@ def _write_sorted(plan, path, records):
 def run_sweep(plan, log=None):
     """Run (or resume) the sweep; returns the records sorted by L.
 
-    Completed points are appended to the output immediately; on normal
+    Completed points are appended to the output immediately (a row cut
+    short by an interrupted write is recomputed on resume); on normal
     completion the file is rewritten sorted by L, so the on-disk result is
     independent of worker count and completion order.
     """
@@ -238,11 +247,3 @@ def _compute_many(plan, todo, log):
                 if log:
                     log(rec)
                 yield futures[fut], rec
-
-
-def resume_sweep(plan, existing_path):
-    """Resume a sweep against an explicit existing output file."""
-    if not os.path.exists(existing_path):
-        raise FileNotFoundError(existing_path)
-    plan = replace(plan, output_path=existing_path)
-    return run_sweep(plan)

@@ -20,10 +20,10 @@ import pytest
 
 from kslyap import (DomainSpec, IntegratorConfig, LyapunovConfig, SweepPlan,
                     compute_spectrum, diagonal_linear_system, fit_dky_linear,
-                    fit_power_law, kaplan_yorke, lorenz_system, make_ks,
+                    fit_power_law, kaplan_yorke, lorenz_system, make_model,
                     read_records, reorthonormalize, run_sweep,
                     scan_exponent_p, scan_reorthonormalization_interval,
-                    windowed_median_mad)
+                    scheme_for, windowed_median_mad)
 
 CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      ".acceptance_cache")
@@ -42,10 +42,10 @@ def ks_spectrum(bc, L, m, dt=0.05, seed=0, N=1000, T=2.0, tau=2000.0, k_max=9.0)
     if os.path.exists(path):
         with open(path) as fh:
             return np.array(json.load(fh)["exponents"])
-    scheme = "etdrk4" if bc == "periodic" else "imex_cnab2"
     cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed,
-                         integrator=IntegratorConfig(dt=dt, scheme=scheme))
-    result = compute_spectrum(make_ks(DomainSpec(L=L, bc=bc, k_max_target=k_max)), cfg)
+                         integrator=IntegratorConfig(dt=dt, scheme=scheme_for(bc)))
+    system = make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max)).build_system()
+    result = compute_spectrum(system, cfg)
     with open(path, "w") as fh:
         json.dump({"exponents": result.exponents.tolist(),
                    "wall_time": result.wall_time}, fh)
@@ -197,14 +197,11 @@ def test_qr_orthonormality_invariant():
     _report("QR orthonormality", worst < 1e-12, f"worst |Q^T Q - I| = {worst:.2e}")
 
 
-def test_dimension_recompute_invariant():
+def test_dimension_recompute_invariant(tmp_path):
     # D_KY recomputed from stored exponents must match the stored value
     lyap = LyapunovConfig(m=4, tau=10.0, T=0.5, N=10, epsilon=1e-6, seed=0,
                           integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
-    out = os.path.join(CACHE, "recompute_check.csv")
-    if os.path.exists(out):
-        os.remove(out)
-        os.remove(out + ".meta.json")
+    out = str(tmp_path / "recompute_check.csv")
     plan = SweepPlan(L_start=22.0, L_end=24.0, dL=1.0, bc="periodic",
                      lyap=lyap, output_path=out)
     run_sweep(plan)
@@ -215,10 +212,9 @@ def test_dimension_recompute_invariant():
 
 
 def test_mean_conservation_invariant():
-    from kslyap import PeriodicSpectralModel, integrate, sample_initial_condition
-    spec = DomainSpec(L=36.0)
-    model = PeriodicSpectralModel(spec)
-    u0 = sample_initial_condition(spec, 3)
+    from kslyap import PeriodicSpectralModel, initial_state, integrate
+    model = PeriodicSpectralModel(DomainSpec(L=36.0))
+    u0 = initial_state(model.dim, 3)
     u = integrate(model.build_system(), u0, 0.0, 100.0,
                   IntegratorConfig(dt=0.05, scheme="etdrk4"))
     drift = abs(model.field_mean(u) - model.field_mean(u0))
@@ -256,8 +252,8 @@ def test_T_scan_odd_L100():
             rows = np.array(json.load(fh)["rows"])
     else:
         cfg = LyapunovConfig(m=24, tau=2000.0, T=2.0, N=1000, epsilon=1e-6, seed=0,
-                             integrator=IntegratorConfig(dt=0.05, scheme="imex_cnab2"))
-        system = make_ks(DomainSpec(L=100.0, bc="odd"))
+                             integrator=IntegratorConfig(dt=0.05, scheme=scheme_for("odd")))
+        system = make_model(DomainSpec(L=100.0, bc="odd")).build_system()
         _, rows = scan_reorthonormalization_interval(system, cfg, [2.0, 5.0, 10.0])
         with open(key, "w") as fh:
             json.dump({"rows": rows.tolist()}, fh)

@@ -9,7 +9,7 @@ from kslyap import (DynamicalSystem, IntegrationBlowUp, IntegratorConfig,
 def constant_system(value=0.0, dim=1):
     def rhs(t, u):
         return np.full_like(u, value)
-    return DynamicalSystem(dim=dim, rhs=rhs, batched=True, label="const")
+    return DynamicalSystem(dim=dim, rhs=rhs, label="const")
 
 
 RK4 = IntegratorConfig(dt=0.01, scheme="rk4")
@@ -74,7 +74,7 @@ def test_partial_final_step():
 def test_blow_up_carries_time():
     def rhs(t, u):
         return u * u
-    system = DynamicalSystem(dim=1, rhs=rhs, batched=True)
+    system = DynamicalSystem(dim=1, rhs=rhs)
     with pytest.raises(IntegrationBlowUp) as err:
         integrate(system, np.array([10.0]), 0.0, 1.0, RK4)
     assert 0 < err.value.time <= 1.0

@@ -3,8 +3,7 @@ import pytest
 
 from kslyap import (DomainSpec, IntegratorConfig, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse,
-                    diagonal_linear_system, field_mean, integrate, lorenz_system,
-                    sample_initial_condition)
+                    diagonal_linear_system, initial_state, integrate, lorenz_system)
 
 ETDRK4 = IntegratorConfig(dt=0.05, scheme="etdrk4")
 CNAB2 = IntegratorConfig(dt=0.05, scheme="imex_cnab2")
@@ -92,18 +91,18 @@ def test_starting_frames():
 
 
 def test_initial_condition_determinism():
-    spec = DomainSpec(L=36.0)
-    a = sample_initial_condition(spec, 0)
-    b = sample_initial_condition(spec, 0)
+    dim = PeriodicSpectralModel(DomainSpec(L=36.0)).dim
+    a = initial_state(dim, 0)
+    b = initial_state(dim, 0)
     assert np.array_equal(a, b)
-    c = sample_initial_condition(spec, 1)
-    d = sample_initial_condition(spec, 2)
+    c = initial_state(dim, 1)
+    d = initial_state(dim, 2)
     assert np.max(np.abs(c - d)) > 0
 
 
 def test_initial_condition_moments():
-    spec = DomainSpec(L=100.0)
-    samples = np.concatenate([sample_initial_condition(spec, s) for s in range(35)])
+    dim = PeriodicSpectralModel(DomainSpec(L=100.0)).dim
+    samples = np.concatenate([initial_state(dim, s) for s in range(35)])
     assert samples.size >= 10_000
     assert abs(samples.mean()) < 0.05
     assert abs(samples.var() - 1.0) < 0.1
@@ -112,20 +111,14 @@ def test_initial_condition_moments():
 def test_field_mean_constant_and_sine():
     model = PeriodicSpectralModel(DomainSpec(L=22.0))
     x = model.L * np.arange(model.grid_size) / model.grid_size
-    assert field_mean(model.from_physical(np.full(model.grid_size, 2.5)), model) == pytest.approx(2.5)
-    assert field_mean(model.from_physical(np.sin(2 * np.pi * x / model.L)), model) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_field_mean_requires_periodic_model():
-    model = OddPeriodicFDModel(DomainSpec(L=18.0, bc="odd"))
-    with pytest.raises(TypeError):
-        field_mean(np.zeros(model.dim), model)
+    assert model.field_mean(model.from_physical(np.full(model.grid_size, 2.5))) == pytest.approx(2.5)
+    assert model.field_mean(model.from_physical(np.sin(2 * np.pi * x / model.L))) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_periodic_mean_conservation():
     spec = DomainSpec(L=36.0)
     model = PeriodicSpectralModel(spec)
-    u0 = sample_initial_condition(spec, 3)
+    u0 = initial_state(model.dim, 3)
     u = integrate(model.build_system(), u0, 0.0, 100.0, ETDRK4)
     assert abs(model.field_mean(u) - model.field_mean(u0)) < 1e-6
 
@@ -171,7 +164,7 @@ def test_periodic_refinement_consistency():
     spec = DomainSpec(L=22.0)
     coarse = PeriodicSpectralModel(spec)
     fine = PeriodicSpectralModel(spec, n_modes=2 * coarse.n_modes)
-    u0 = sample_initial_condition(spec, 5)
+    u0 = initial_state(coarse.dim, 5)
     fine_u0 = np.zeros(fine.dim)
     fine_u0[: coarse.n_modes + 1] = u0[: coarse.n_modes + 1]
     fine_u0[fine.n_modes + 1: fine.n_modes + 1 + coarse.n_modes] = u0[coarse.n_modes + 1:]
@@ -186,7 +179,7 @@ def test_periodic_refinement_consistency():
 def test_odd_boundary_invariants_hold():
     spec = DomainSpec(L=18.0, bc="odd")
     model = OddPeriodicFDModel(spec)
-    u0 = sample_initial_condition(spec, 1)
+    u0 = initial_state(model.dim, 1)
     u = integrate(model.build_system(), u0, 0.0, 20.0, CNAB2)
     x, full = model.to_physical(u)
     assert full[0] == 0.0 and full[-1] == 0.0

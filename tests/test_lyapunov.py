@@ -11,7 +11,7 @@ RK4 = IntegratorConfig(dt=0.01, scheme="rk4")
 
 
 def constant_system(dim):
-    return DynamicalSystem(dim=dim, rhs=lambda t, u: np.zeros_like(u), batched=True)
+    return DynamicalSystem(dim=dim, rhs=lambda t, u: np.zeros_like(u))
 
 
 def test_burn_in_zero_tau():

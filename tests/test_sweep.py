@@ -6,7 +6,7 @@ import pytest
 
 from kslyap import (FingerprintMismatch, IntegratorConfig, LyapunovConfig,
                     SpectrumRecord, SweepPlan, kaplan_yorke, read_records,
-                    resume_sweep, run_sweep)
+                    run_sweep)
 from kslyap.sweep import header_row, record_to_row, row_to_record
 
 
@@ -70,16 +70,35 @@ def test_resume_computes_only_missing_points(tmp_path):
     assert len(kept) == len(lines) - 1
     with open(plan.output_path, "w") as fh:
         fh.write("\n".join(kept) + "\n")
-    records = resume_sweep(plan, plan.output_path)
+    records = run_sweep(plan)
     assert len(records) == 3
     assert open(plan.output_path).read() == reference
+
+
+@pytest.mark.parametrize("cell", [2, 7])
+def test_resume_recomputes_a_torn_last_row(tmp_path, cell):
+    # a write interrupted inside the last row's seed (cell 2) or inside its
+    # last exponent (cell 7, lambda_2 of m=2)
+    plan = tiny_plan(tmp_path)
+    run_sweep(plan)
+    with open(plan.output_path, "rb") as fh:
+        reference = fh.read()
+    head, last = reference.rstrip(b"\n").rsplit(b"\n", 1)
+    cells = last.split(b",")
+    torn = b",".join(cells[:cell] + [cells[cell][:3]])
+    with open(plan.output_path, "wb") as fh:
+        fh.write(head + b"\n" + torn)
+    records = run_sweep(plan)
+    assert [len(r.exponents) for r in records] == [2, 2, 2]
+    with open(plan.output_path, "rb") as fh:
+        assert fh.read() == reference
 
 
 def test_resume_with_nothing_missing_leaves_file_alone(tmp_path):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
     before = open(plan.output_path, "rb").read()
-    resume_sweep(plan, plan.output_path)
+    run_sweep(plan)
     assert open(plan.output_path, "rb").read() == before
 
 
@@ -97,6 +116,9 @@ def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
     assert tiny_plan(tmp_path).fingerprint() == (
         "4ea361e8ea1ca39ce027169e9c677bcf52c7aeabbab74cb6253d7e9374451a2b")
     plan = tiny_plan(tmp_path, bc="odd")
+    # the odd digest since spectra start from sine modes
+    assert plan.fingerprint() == (
+        "81ebbc233317ea9ced9420ec248d23b2c8ad4e7e942a5499c82710aba6371f16")
     old = "b56a1015ef0bf1de80cdb2f15b1663c92ffb7e7f70c65c56f1ac9655e58362d2"
     with open(plan.output_path + ".meta.json", "w") as fh:
         json.dump({"fingerprint": old}, fh)
