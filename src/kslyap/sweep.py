@@ -6,6 +6,14 @@ fingerprint, and re-running the same plan resumes from what is already on
 disk.  Failed grid points are recorded with a ``failed`` flag instead of
 aborting the sweep.
 
+:func:`fingerprint` is the one name of a cached result's numbers: it hashes
+the settings a result depends on together with its boundary condition's
+entry in :data:`NUMERICS`.  Sweep sidecars and the acceptance-test caches
+are named by it.  A change that alters a boundary condition's numbers adds
+an entry to :data:`NUMERICS`; old sweeps are then refused on resume and old
+cache files are no longer found, so the change commits the regenerated
+files and removes the orphaned old ones.
+
 CSV schema: header ``L,bc,seed,flag,dky,j,lambda_1,...,lambda_m``; reals are
 written with 17 significant digits so they round-trip exactly.
 """
@@ -23,6 +31,11 @@ from . import analysis
 from .errors import FingerprintMismatch
 from .ks import DomainSpec, make_model, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
 from .lyapunov import LyapunovConfig, compute_spectrum
+
+#: Revisions of each boundary condition's numerics since the first release,
+#: merged into every fingerprint payload.  Odd-periodic spectra start from
+#: sine modes instead of grid-point perturbations.
+NUMERICS = {PERIODIC: {}, ODD_PERIODIC: {"initial_frame": "sine"}}
 
 #: Records with leading exponent below this are flagged non-chaotic.
 NONCHAOTIC_THRESHOLD = 0.005
@@ -79,25 +92,30 @@ class SweepPlan:
 
     def _settings(self):
         """Every setting a row's numbers depend on, apart from its L."""
-        return {
-            "bc": self.bc, "dL": self.dL, "k_max": self.k_max,
-            "base_seed": self.lyap.seed,
-            "m": self.lyap.m, "tau": self.lyap.tau, "T": self.lyap.T,
-            "N": self.lyap.N, "epsilon": self.lyap.epsilon,
-            "dt": self.lyap.integrator.dt, "scheme": self.lyap.integrator.scheme,
-        }
+        return {**spectrum_settings(self.bc, self.k_max, self.lyap),
+                "dL": self.dL, "base_seed": self.lyap.seed}
 
     def fingerprint(self):
-        payload = self._settings()
-        if self.bc == ODD_PERIODIC:
-            # odd spectra start from sine modes; rows computed from the old
-            # coordinate-vector frame must not be mixed in
-            payload["initial_frame"] = "sine"
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return fingerprint(self._settings())
 
     def echo(self):
         return {"L_start": self.L_start, "L_end": self.L_end, **self._settings()}
+
+
+def spectrum_settings(bc, k_max, lyap):
+    """The settings a spectrum's numbers depend on, apart from L and how its
+    seed is chosen; callers add those."""
+    return {"bc": bc, "k_max": k_max,
+            "m": lyap.m, "tau": lyap.tau, "T": lyap.T,
+            "N": lyap.N, "epsilon": lyap.epsilon,
+            "dt": lyap.integrator.dt, "scheme": lyap.integrator.scheme}
+
+
+def fingerprint(settings):
+    """SHA-256 hex digest of ``settings`` (which names its ``bc``) merged with
+    that boundary condition's :data:`NUMERICS` entry."""
+    payload = {**settings, **NUMERICS[settings["bc"]]}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _g17(x):
@@ -126,13 +144,29 @@ def row_to_record(line):
 
 def read_records(path, check_dky=True):
     """Load a sweep CSV; optionally re-derive D_KY from the stored exponents
-    and verify consistency to 1e-9."""
+    and verify consistency to 1e-9.
+
+    A row cut short is refused with a ``ValueError`` naming the file and
+    line: a final line without its newline (an interrupted write; resume
+    cuts such a line off before reading) or a row whose cell count differs
+    from the header's."""
     records = []
+    n_cells = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("L,"):
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
+            cells = line.count(",") + 1
+            if line.startswith("L,"):
+                n_cells = cells
+                continue
+            if not raw.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: last row has no line end; "
+                                 "it was cut short by an interrupted write")
+            if cells != n_cells:
+                raise ValueError(f"{path}:{lineno}: row has {cells} cells, "
+                                 f"the header {n_cells}")
             rec = row_to_record(line)
             if check_dky and "failed" not in rec.flags:
                 ky = analysis.kaplan_yorke(rec.exponents)
@@ -173,7 +207,17 @@ def _load_existing(plan, path):
         raise FingerprintMismatch(
             "existing output was produced with a different configuration")
     _cut_torn_row(path)
-    return {rec.L: rec for rec in read_records(path, check_dky=False)}
+    # a row's seed hashes its grid index, so rows of another grid (another
+    # L_start, which the fingerprint leaves out) must not be mixed in either
+    index = {float(L): idx for idx, L in enumerate(plan.grid())}
+    done = {}
+    for rec in read_records(path, check_dky=False):
+        idx = index.get(rec.L)
+        if idx is None or rec.seed != plan.point_seed(idx):
+            raise FingerprintMismatch(
+                f"existing row at L={rec.L:g} is not a point of this plan's grid")
+        done[rec.L] = rec
+    return done
 
 
 def _cut_torn_row(path):

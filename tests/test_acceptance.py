@@ -8,7 +8,10 @@ reorthonormalization-interval scan.
 A cold run takes a few hours on one core.  Every expensive spectrum and
 sweep is cached under ``.acceptance_cache/`` at the repository root (sweeps
 additionally resume point by point), so interrupted or repeated runs are
-cheap.  Each top-level check prints a single PASS/FAIL line.
+cheap.  Spectrum cache files are named by ``kslyap.sweep.fingerprint`` and
+sweeps are checked against it on resume, so a change to the numerics that
+adds a ``NUMERICS`` entry makes the old files miss instead of serving them.
+Each top-level check prints a single PASS/FAIL line.
 """
 
 import json
@@ -24,6 +27,7 @@ from kslyap import (DomainSpec, IntegratorConfig, LyapunovConfig, SweepPlan,
                     read_records, reorthonormalize, run_sweep,
                     scan_exponent_p, scan_reorthonormalization_interval,
                     scheme_for, windowed_median_mad)
+from kslyap.sweep import NUMERICS, fingerprint, spectrum_settings
 
 CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      ".acceptance_cache")
@@ -35,21 +39,45 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def ks_spectrum(bc, L, m, dt=0.05, seed=0, N=1000, T=2.0, tau=2000.0, k_max=9.0):
+def cache_path(stem, spec, cfg, **extra):
+    """Cache file of a result: a readable stem plus the first 12 hex digits of
+    the fingerprint of every setting its numbers depend on."""
+    settings = {**spectrum_settings(spec.bc, spec.k_max_target, cfg),
+                "L": spec.L, "seed": cfg.seed, **extra}
+    return os.path.join(CACHE, f"{stem}_{fingerprint(settings)[:12]}.json")
+
+
+def spectrum_job(bc, L, m, dt=0.05, seed=0, N=1000, T=2.0, tau=2000.0, k_max=9.0):
+    """Domain, configuration and cache file of a production KS spectrum."""
+    spec = DomainSpec(L=L, bc=bc, k_max_target=k_max)
+    cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed,
+                         integrator=IntegratorConfig(dt=dt, scheme=scheme_for(bc)))
+    return spec, cfg, cache_path(f"{bc}_L{L:g}_m{m}_dt{dt:g}", spec, cfg)
+
+
+def ks_spectrum(bc, L, m, **kwargs):
     """Spectrum of the KS system at production parameters, disk-cached."""
-    key = f"{bc}_L{L:g}_m{m}_dt{dt:g}_seed{seed}_N{N}_T{T:g}_tau{tau:g}_k{k_max:g}"
-    path = os.path.join(CACHE, key + ".json")
+    spec, cfg, path = spectrum_job(bc, L, m, **kwargs)
     if os.path.exists(path):
         with open(path) as fh:
             return np.array(json.load(fh)["exponents"])
-    cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed,
-                         integrator=IntegratorConfig(dt=dt, scheme=scheme_for(bc)))
-    system = make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max)).build_system()
-    result = compute_spectrum(system, cfg)
+    result = compute_spectrum(make_model(spec).build_system(), cfg)
     with open(path, "w") as fh:
         json.dump({"exponents": result.exponents.tolist(),
                    "wall_time": result.wall_time}, fh)
     return result.exponents
+
+
+@pytest.mark.parametrize("bc", ["periodic", "odd"])
+def test_numerics_entry_renames_only_its_caches(bc, monkeypatch):
+    def paths():
+        return {b: spectrum_job(b, 41.0, m=12)[2] for b in ("periodic", "odd")}
+
+    before = paths()
+    monkeypatch.setitem(NUMERICS, bc, {**NUMERICS[bc], "revision": "test"})
+    after = paths()
+    assert after[bc] != before[bc]
+    assert all(after[b] == before[b] for b in before if b != bc)
 
 
 # -- criterion: linear oracle ------------------------------------------------
@@ -246,16 +274,16 @@ def test_step_halving_stability():
 # -- criterion: reorthonormalization-interval scan -----------------------------
 
 def test_T_scan_odd_L100():
-    key = os.path.join(CACHE, "tscan_odd_L100.json")
-    if os.path.exists(key):
-        with open(key) as fh:
+    T_values = [2.0, 5.0, 10.0]
+    spec, cfg, _ = spectrum_job("odd", 100.0, m=24)
+    path = cache_path("tscan_odd_L100", spec, cfg, T_scan=T_values)
+    if os.path.exists(path):
+        with open(path) as fh:
             rows = np.array(json.load(fh)["rows"])
     else:
-        cfg = LyapunovConfig(m=24, tau=2000.0, T=2.0, N=1000, epsilon=1e-6, seed=0,
-                             integrator=IntegratorConfig(dt=0.05, scheme=scheme_for("odd")))
-        system = make_model(DomainSpec(L=100.0, bc="odd")).build_system()
-        _, rows = scan_reorthonormalization_interval(system, cfg, [2.0, 5.0, 10.0])
-        with open(key, "w") as fh:
+        system = make_model(spec).build_system()
+        _, rows = scan_reorthonormalization_interval(system, cfg, T_values)
+        with open(path, "w") as fh:
             json.dump({"rows": rows.tolist()}, fh)
     spread = float(np.max(rows.max(axis=0) - rows.min(axis=0)))
     _report("T-scan odd L=100", spread < 0.02,

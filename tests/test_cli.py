@@ -168,6 +168,24 @@ def test_dky_synthetic_slope(tmp_path, capsys):
     assert slope == pytest.approx((3.75 - 2.5) / 10.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tail", [
+    lambda cells: ",".join(cells[:1] + [cells[1][:3]]),        # inside bc
+    lambda cells: ",".join(cells[:3] + [cells[3][:1]]),        # inside flag
+    lambda cells: ",".join(cells[:-1] + [cells[-1][:4]]),      # inside the last exponent
+    lambda cells: ",".join(cells[:-1]) + "\n",                 # a whole cell short
+], ids=["bc", "flag", "exponent", "short"])
+def test_dky_refuses_a_torn_last_row(tmp_path, capsys, tail):
+    results = tmp_path / "synth.csv"
+    _write_synthetic_sweep(results, Ls=[80.0, 90.0, 100.0])
+    head, last = results.read_text().rstrip("\n").rsplit("\n", 1)
+    results.write_text(head + "\n" + tail(last.split(",")))
+    code, _, err = run(["dky", "--results", str(results), "--Lmin-fit", "80",
+                        "--out", str(tmp_path / "d.csv")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and f"{results}:5:" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfgfile = tmp_path / "conf.txt"
     cfgfile.write_text("L = 22\nt-end = 0\n# comment\ndt-out = 1\n")

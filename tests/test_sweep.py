@@ -7,7 +7,7 @@ import pytest
 from kslyap import (FingerprintMismatch, IntegratorConfig, LyapunovConfig,
                     SpectrumRecord, SweepPlan, kaplan_yorke, read_records,
                     run_sweep)
-from kslyap.sweep import header_row, record_to_row, row_to_record
+from kslyap.sweep import NUMERICS, header_row, record_to_row, row_to_record
 
 
 def tiny_plan(tmp_path, name="out.csv", **kwargs):
@@ -102,12 +102,46 @@ def test_resume_with_nothing_missing_leaves_file_alone(tmp_path):
     assert open(plan.output_path, "rb").read() == before
 
 
-def test_fingerprint_mismatch_refuses_to_mix(tmp_path):
+def _integrator(plan, **changes):
+    integrator = replace(plan.lyap.integrator, **changes)
+    return replace(plan, lyap=replace(plan.lyap, integrator=integrator))
+
+
+@pytest.mark.parametrize("change", ["epsilon", "scheme", "dt", "k_max", "numerics"])
+def test_fingerprint_mismatch_refuses_to_mix(tmp_path, monkeypatch, change):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
-    changed = replace(plan, lyap=replace(plan.lyap, epsilon=1e-5))
+    if change == "epsilon":
+        changed = replace(plan, lyap=replace(plan.lyap, epsilon=1e-5))
+    elif change == "scheme":
+        changed = _integrator(plan, scheme="rk4")
+    elif change == "dt":
+        changed = _integrator(plan, dt=0.025)
+    elif change == "k_max":
+        changed = replace(plan, k_max=8.0)
+    else:
+        # a later revision of the plan's boundary condition's numerics
+        monkeypatch.setitem(NUMERICS, plan.bc, {**NUMERICS[plan.bc], "revision": "test"})
+        changed = plan
     with pytest.raises(FingerprintMismatch):
         run_sweep(changed)
+
+
+@pytest.mark.parametrize("L_start", [10.0, 10.5])
+def test_resume_refuses_rows_of_another_grid(tmp_path, L_start):
+    # rows 11 and 12 were grid indices 0 and 1; from L_start 10 they are
+    # indices 1 and 2 (other seeds), from 10.5 they are off the grid
+    run_sweep(tiny_plan(tmp_path, L_start=11.0))
+    with pytest.raises(FingerprintMismatch):
+        run_sweep(tiny_plan(tmp_path, L_start=L_start))
+
+
+def test_resume_to_a_larger_L_end_keeps_rows(tmp_path):
+    run_sweep(tiny_plan(tmp_path, L_end=11.0))
+    run_sweep(tiny_plan(tmp_path))
+    run_sweep(tiny_plan(tmp_path, name="fresh.csv"))
+    with open(tmp_path / "out.csv", "rb") as a, open(tmp_path / "fresh.csv", "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
