@@ -16,12 +16,10 @@ constants.
 import os
 import tempfile
 
-from kslyap import (IntegratorConfig, LyapunovConfig, SweepPlan, fit_dky_linear,
-                    fit_power_law, run_sweep, scan_exponent_p, windowed_median_mad)
+from kslyap import (LyapunovConfig, SweepPlan, fit_dky_linear, fit_power_law,
+                    run_sweep, scan_exponent_p, windowed_median_mad)
 
-lyap = LyapunovConfig(
-    m=12, tau=200.0, T=2.0, N=100, epsilon=1e-6, seed=0,
-    integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+lyap = LyapunovConfig(m=12, tau=200.0, T=2.0, N=100, epsilon=1e-6, seed=0, dt=0.05)
 
 out = os.path.join(tempfile.mkdtemp(), "demo_sweep.csv")
 plan = SweepPlan(L_start=34.0, L_end=46.0, dL=1.0, bc="periodic",

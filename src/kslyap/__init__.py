@@ -1,15 +1,14 @@
 """Lyapunov spectra and Kaplan-Yorke dimensions of the Kuramoto-Sivashinsky
 equation on periodic and odd-periodic domains."""
 
-from .dynamics import (DynamicalSystem, IntegratorConfig, diagonal_linear_system,
-                       initial_state, integrate, jacobian_trace_average,
-                       lorenz_system)
+from .dynamics import (DynamicalSystem, diagonal_linear_system, initial_state,
+                       integrate, jacobian_trace_average, lorenz_system)
 from .errors import (DegenerateDivisor, EmptyWindow, FingerprintMismatch,
                      InsufficientData, IntegrationBlowUp, KslyapError,
                      NonFiniteColumn, RankDeficient, ResolutionTooCoarse,
                      SingularNormalEquations)
 from .ks import (DomainSpec, ODD_PERIODIC, OddPeriodicFDModel, PERIODIC,
-                 PeriodicSpectralModel, make_model, scheme_for)
+                 PeriodicSpectralModel, make_model)
 from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum,
                        propagate_frame, reorthonormalize,
                        scan_reorthonormalization_interval)

@@ -13,18 +13,17 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dynamics import (IntegratorConfig, initial_state, integrate, lorenz_system,
-                       diagonal_linear_system)
+from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_system
 from .errors import KslyapError
-from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model, scheme_for
+from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
-from .sweep import (SpectrumRecord, SweepPlan, _g17, header_row, read_records,
-                    record_to_row, run_sweep)
+from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
+                    run_sweep, spectrum_record)
 
 _LYAP = LyapunovConfig()
 _DEFAULTS = {
     "bc": PERIODIC, "m": _LYAP.m, "tau": _LYAP.tau, "T": _LYAP.T, "N": _LYAP.N,
-    "epsilon": _LYAP.epsilon, "seed": _LYAP.seed, "dt": _LYAP.integrator.dt,
+    "epsilon": _LYAP.epsilon, "seed": _LYAP.seed, "dt": _LYAP.dt,
     "kmax": DEFAULT_K_MAX, "dL": 0.1, "workers": 1, "t_end": 500.0, "dt_out": 0.5,
     "halfwidth": 1.0, "p_grid": "0.02:0.02:2.0", "Lmin_fit": 80.0,
 }
@@ -44,8 +43,8 @@ def _read_config_file(path):
     return values
 
 
-def _effective(args, keys):
-    """Merge builtin defaults, config file, and explicit flags (in that order)."""
+def _effective(args, keys, defaults=_DEFAULTS):
+    """Merge defaults, config file, and explicit flags (in that order)."""
     file_values = _read_config_file(args.config) if args.config else {}
     out = {}
     for key in keys:
@@ -53,7 +52,7 @@ def _effective(args, keys):
         if value is None and key in file_values:
             value = file_values[key]
         if value is None:
-            value = _DEFAULTS.get(key)
+            value = defaults.get(key)
         out[key] = value
     return out
 
@@ -62,7 +61,7 @@ def _lyap_config(cfg):
     return LyapunovConfig(
         m=int(cfg["m"]), tau=float(cfg["tau"]), T=float(cfg["T"]),
         N=int(cfg["N"]), epsilon=float(cfg["epsilon"]), seed=int(cfg["seed"]),
-        integrator=IntegratorConfig(dt=float(cfg["dt"]), scheme=scheme_for(cfg["bc"])))
+        dt=float(cfg["dt"]))
 
 
 def _meta_lines(cmd, cfg):
@@ -83,7 +82,7 @@ def cmd_simulate(args):
     bc, L = cfg["bc"], float(cfg["L"])
     model = make_model(DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"])))
     system = model.build_system()
-    integrator = IntegratorConfig(dt=float(cfg["dt"]), scheme=scheme_for(bc))
+    dt = float(cfg["dt"])
     state = initial_state(model.dim, int(cfg["seed"]))
     t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
     times = np.round(np.arange(int(np.floor(t_end / dt_out + 0.5)) + 1) * dt_out, 10)
@@ -94,7 +93,7 @@ def cmd_simulate(args):
     t_prev = 0.0
     for t in times:
         if t > 0:
-            state = integrate(system, state, t_prev, t, integrator)
+            state = integrate(system, state, t_prev, t, dt)
             t_prev = t
         _, u = model.to_physical(state)
         lines.append(_g17(t) + "," + ",".join(_g17(v) for v in u))
@@ -105,21 +104,23 @@ def cmd_simulate(args):
 
 
 def _oracle_system(name):
+    """An oracle system and its default time step."""
     if name == "lorenz":
-        return lorenz_system(), "rk4", 0.005
+        return lorenz_system(), 0.005
     if name == "diaglin":
-        return diagonal_linear_system([0.3, -0.1, -2.0]), "rk4", 0.01
+        return diagonal_linear_system([0.3, -0.1, -2.0]), 0.01
     raise KslyapError(f"unknown oracle system {name!r}")
 
 
 def cmd_lyap(args):
-    cfg = _effective(args, ["bc", "L", "kmax", "m", "tau", "T", "N", "epsilon",
-                            "seed", "dt", "out", "scan_T", "system"])
-    lyap = _lyap_config(cfg)
+    keys = ["bc", "L", "kmax", "m", "tau", "T", "N", "epsilon", "seed", "dt",
+            "out", "scan_T", "system"]
+    cfg = _effective(args, keys)
     if cfg["system"]:
-        system, scheme, dt = _oracle_system(cfg["system"])
-        lyap.integrator = IntegratorConfig(dt=dt, scheme=scheme)
-        lyap.m = min(lyap.m, system.dim)
+        system, dt = _oracle_system(cfg["system"])
+        # the oracle's step unless a flag or the config file sets dt
+        cfg = _effective(args, keys, {**_DEFAULTS, "dt": dt})
+        cfg["m"] = min(int(cfg["m"]), system.dim)
         bc, L = cfg["system"], float("nan")
     else:
         if cfg["L"] is None:
@@ -127,6 +128,7 @@ def cmd_lyap(args):
         bc, L = cfg["bc"], float(cfg["L"])
         spec = DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"]))
         system = make_model(spec).build_system()
+    lyap = _lyap_config(cfg)
 
     if cfg["scan_T"]:
         T_values = np.array([float(v) for v in str(cfg["scan_T"]).split(",")])
@@ -143,15 +145,13 @@ def cmd_lyap(args):
         return 0
 
     result = compute_spectrum(system, lyap)
-    ky = analysis.kaplan_yorke(result.exponents)
-    for i, lam in enumerate(result.exponents, 1):
+    rec = spectrum_record(L, bc, lyap.seed, result.exponents)
+    for i, lam in enumerate(rec.exponents, 1):
         print(f"lambda_{i:<3d} {lam: .6f}")
-    print(f"D_KY      {ky.dimension:.4f}   (j={ky.j})")
+    print(f"D_KY      {rec.dky:.4f}   (j={rec.j})")
     if cfg["out"]:
         lines = _meta_lines("lyap", cfg)
         lines.append(header_row(lyap.m))
-        rec = SpectrumRecord(L=L, bc=bc, seed=lyap.seed,
-                             exponents=result.exponents, dky=ky.dimension, j=ky.j)
         lines.append(record_to_row(rec))
         with open(cfg["out"], "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -6,15 +6,16 @@ accepts a ``(batch, dim)`` array of states and returns the elementwise
 right-hand sides, which lets callers propagate many trajectories in lockstep
 (used heavily by the Lyapunov engine).
 
-Three fixed-step schemes are provided:
+The system determines its fixed-step scheme (:func:`make_stepper`) from the
+stiff linear operator it declares:
 
-* ``rk4``        -- classic explicit Runge-Kutta, for non-stiff systems;
-* ``etdrk4``     -- exponential time differencing RK4 (Cox-Matthews, with the
-                    Kassam-Trefethen contour evaluation of the phi-function
-                    coefficients), for systems with a stiff *diagonal* linear
-                    part;
-* ``imex_cnab2`` -- Crank-Nicolson on the linear part, Adams-Bashforth-2 on
-                    the rest, for systems with a stiff *banded* linear part.
+* ``stiff_linear_matrix`` (sparse, banded) -- IMEX-CNAB2: Crank-Nicolson on
+  the linear part, Adams-Bashforth-2 on the rest;
+* ``stiff_linear_part`` (a diagonal)       -- ETDRK4: exponential time
+  differencing RK4 (Cox-Matthews, with the Kassam-Trefethen contour
+  evaluation of the phi-function coefficients);
+* neither                                  -- classic explicit RK4, for
+  non-stiff systems.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,6 @@ from scipy.linalg import solve_banded
 
 from .errors import IntegrationBlowUp
 
-SCHEMES = ("rk4", "etdrk4", "imex_cnab2")
-
 #: Integration aborts when the state max-norm exceeds this guard.
 BLOWUP_NORM = 1e6
 
@@ -36,10 +35,11 @@ BLOWUP_NORM = 1e6
 class DynamicalSystem:
     """An autonomous ODE  du/dt = rhs(t, u)  on R^dim.
 
-    ``stiff_linear_part`` is the diagonal of the stiff linear operator (needed
-    by ``etdrk4`` and ``imex_cnab2``).  Systems whose stiff operator is banded
-    rather than diagonal may also supply ``stiff_linear_matrix`` (a sparse
-    matrix); ``imex_cnab2`` then treats the full matrix implicitly.
+    A system with a stiff linear operator declares it, and that declaration
+    picks its integrator (see :func:`make_stepper`): ``stiff_linear_part``,
+    the operator's diagonal, for one that is diagonal (ETDRK4), or
+    ``stiff_linear_matrix``, a sparse matrix, for one that is banded
+    (IMEX-CNAB2).  A system that declares neither is run with RK4.
 
     ``initial_frame(m)`` returns the orthonormal ``(dim, m)`` frame a
     Lyapunov computation starts from.  Systems may supply ``frame_factory``
@@ -71,24 +71,6 @@ class DynamicalSystem:
     def rhs_batch(self, t, states):
         """Evaluate the RHS for a (batch, dim) block of states."""
         return self.rhs(t, np.asarray(states, dtype=float))
-
-
-@dataclass
-class IntegratorConfig:
-    """Fixed time step and scheme selection."""
-
-    dt: float
-    scheme: str = "rk4"
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-
-    def validate_for(self, system):
-        if self.scheme in ("etdrk4", "imex_cnab2") and system.stiff_linear_part is None:
-            raise ValueError(f"{self.scheme} requires system.stiff_linear_part")
 
 
 def initial_state(dim, seed):
@@ -178,19 +160,15 @@ def _sparse_to_banded(mat):
 class _IMEXCNAB2Stepper:
     """Crank-Nicolson (linear) / Adams-Bashforth-2 (remainder).
 
-    The implicit linear operator is the full sparse ``stiff_linear_matrix``
-    when present, otherwise the diagonal ``stiff_linear_part``.  The first
-    step uses explicit Euler for the nonlinear term.
+    The implicit linear operator is the sparse ``stiff_linear_matrix``.  The
+    first step uses explicit Euler for the nonlinear term.
     """
 
     def __init__(self, system, dt):
         self.f = system.rhs_batch
         self.dt = dt
         self._nl_prev = None
-        mat = system.stiff_linear_matrix
-        if mat is None:
-            mat = sp.diags(system.stiff_linear_part)
-        self.L = sp.csr_matrix(mat)
+        self.L = sp.csr_matrix(system.stiff_linear_matrix)
         n = self.L.shape[0]
         lhs = sp.eye(n) - (dt / 2) * self.L
         self._ab, self._lo, self._up = _sparse_to_banded(lhs)
@@ -211,16 +189,21 @@ class _IMEXCNAB2Stepper:
         return out
 
 
-_STEPPERS = {"rk4": _RK4Stepper, "etdrk4": _ETDRK4Stepper, "imex_cnab2": _IMEXCNAB2Stepper}
-
-
-def make_stepper(system, cfg, dt=None):
-    cfg.validate_for(system)
-    return _STEPPERS[cfg.scheme](system, cfg.dt if dt is None else dt)
+def make_stepper(system, dt):
+    """The stepper of step ``dt`` for the scheme the system's stiff linear
+    operator calls for: IMEX-CNAB2 for a matrix, ETDRK4 for a diagonal, RK4
+    for none."""
+    if system.stiff_linear_matrix is not None:
+        return _IMEXCNAB2Stepper(system, dt)
+    if system.stiff_linear_part is not None:
+        return _ETDRK4Stepper(system, dt)
+    return _RK4Stepper(system, dt)
 
 
 def _step_count(t0, t1, dt):
     """Full steps plus optional remainder so the walk lands exactly on t1."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     span = t1 - t0
     ratio = span / dt
     n = round(ratio)
@@ -230,8 +213,8 @@ def _step_count(t0, t1, dt):
     return n, span - n * dt
 
 
-def integrate(system, u0, t0, t1, cfg):
-    """Advance u0 from t0 to t1 with the fixed-step scheme in cfg.
+def integrate(system, u0, t0, t1, dt):
+    """Advance u0 from t0 to t1 in fixed steps dt of the system's scheme.
 
     ``u0`` may be a single state of shape (dim,) or a (batch, dim) block of
     states advanced in lockstep.  Raises IntegrationBlowUp (carrying the
@@ -247,15 +230,15 @@ def integrate(system, u0, t0, t1, cfg):
     if t1 == t0:
         return u[0] if single else u
 
-    n_steps, remainder = _step_count(t0, t1, cfg.dt)
-    stepper = make_stepper(system, cfg)
+    n_steps, remainder = _step_count(t0, t1, dt)
+    stepper = make_stepper(system, dt)
     t = t0
     for _ in range(n_steps):
         u = stepper.step(t, u)
-        t += cfg.dt
+        t += dt
         _check_finite(u, t)
     if remainder > 0:
-        u = make_stepper(system, cfg, dt=remainder).step(t, u)
+        u = make_stepper(system, remainder).step(t, u)
         _check_finite(u, t1)
     return u[0] if single else u
 
@@ -269,21 +252,21 @@ def divergence(system, t, u, fd_step=1e-6):
     return float(np.trace(f[:n] - f[n:]) / (2 * fd_step))
 
 
-def jacobian_trace_average(system, u0, horizon, cfg):
+def jacobian_trace_average(system, u0, horizon, dt):
     """Time-averaged divergence of the flow along the trajectory from u0.
 
     Equals the sum of all Lyapunov exponents (useful as a validation oracle).
     The divergence is sampled at the start of every time step and averaged.
     """
     u = np.asarray(u0, dtype=float)
-    n_steps, remainder = _step_count(0.0, horizon, cfg.dt)
-    stepper = make_stepper(system, cfg)
+    n_steps, remainder = _step_count(0.0, horizon, dt)
+    stepper = make_stepper(system, dt)
     samples = []
     t = 0.0
     for _ in range(n_steps):
         samples.append(divergence(system, t, u))
         u = stepper.step(t, u[None, :])[0]
-        t += cfg.dt
+        t += dt
         _check_finite(u, t)
     if remainder > 0:
         samples.append(divergence(system, t, u))
@@ -311,5 +294,4 @@ def diagonal_linear_system(rates):
         return rates * u
 
     return DynamicalSystem(dim=rates.size, rhs=rhs,
-                           stiff_linear_part=rates,
                            label="diaglin(" + ",".join(f"{r:g}" for r in rates) + ")")

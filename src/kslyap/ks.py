@@ -14,6 +14,10 @@ Two discretizations are provided for the two boundary conditions:
                    conservative form (u^2/2)_x.
 
 Both models resolve wavenumbers up to at least ``k_max_target`` (default 9).
+Each model's system declares its stiff linear operator, which picks its
+integrator (``dynamics.make_stepper``): the periodic model's diagonal
+``k^2 - k^4`` runs with ETDRK4, the odd model's banded finite-difference
+matrix with IMEX-CNAB2.
 """
 
 from dataclasses import dataclass
@@ -145,7 +149,6 @@ class OddPeriodicFDModel:
         self.dim = n_interior
         self.x = self.h * np.arange(1, n_interior + 1)
         self.linear_matrix = self._build_linear_matrix()
-        self.stiff_linear_part = self.linear_matrix.diagonal()
 
     def _build_linear_matrix(self):
         n, h = self.n, self.h
@@ -201,8 +204,7 @@ class OddPeriodicFDModel:
 
     def build_system(self):
         return DynamicalSystem(
-            dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
-            stiff_linear_matrix=self.linear_matrix,
+            dim=self.dim, rhs=self.rhs, stiff_linear_matrix=self.linear_matrix,
             frame_factory=self.sine_frame, label=f"ks-odd(L={self.L:g},n={self.n})")
 
 
@@ -211,10 +213,3 @@ def make_model(spec, **kwargs):
     if spec.bc == PERIODIC:
         return PeriodicSpectralModel(spec, **kwargs)
     return OddPeriodicFDModel(spec, **kwargs)
-
-
-def scheme_for(bc):
-    """The time-integration scheme each boundary condition's model is run with:
-    ETDRK4 for the diagonal periodic operator, IMEX-CNAB2 for the banded
-    odd-periodic one."""
-    return "etdrk4" if bc == PERIODIC else "imex_cnab2"

@@ -9,15 +9,18 @@ and the frame is reorthonormalized by a reduced QR factorization after each
 interval of length T.  The exponents are the interval-averaged logs of the
 positive R diagonals,  lambda_i = sum_j log R_ii^(j) / (N*T),  sorted in
 non-increasing order.
+
+Every trajectory is advanced in fixed steps ``dt`` of the scheme its system
+picks (``dynamics.make_stepper``); the configuration carries only the step.
 """
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, initial_state, integrate
+from .dynamics import initial_state, integrate
 from .errors import NonFiniteColumn, RankDeficient
 
 
@@ -30,6 +33,8 @@ class LyapunovConfig:
     T        -- reorthonormalization interval
     N        -- number of intervals
     epsilon  -- perturbation magnitude for the flow-map finite difference
+    seed     -- seed of the default initial state
+    dt       -- time step of the system's integrator
     """
 
     m: int = 24
@@ -38,13 +43,13 @@ class LyapunovConfig:
     N: int = 1000
     epsilon: float = 1e-6
     seed: int = 0
-    integrator: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    dt: float = 0.05
 
     def __post_init__(self):
         if self.m <= 0 or self.N <= 0:
             raise ValueError("m and N must be positive")
-        if self.tau < 0 or not self.T > 0 or not self.epsilon > 0:
-            raise ValueError("tau >= 0, T > 0, epsilon > 0 required")
+        if self.tau < 0 or not self.T > 0 or not self.epsilon > 0 or not self.dt > 0:
+            raise ValueError("tau >= 0, T > 0, epsilon > 0, dt > 0 required")
         if self.epsilon > 1e-2:
             warnings.warn("epsilon > 1e-2 is large relative to typical state scales")
 
@@ -58,17 +63,17 @@ class LyapunovResult:
     wall_time: float
 
 
-def burn_in(system, u0, tau, integrator):
+def burn_in(system, u0, tau, dt):
     """Discard the transient: evolve u0 for time tau (tau=0 is a no-op)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     u0 = np.asarray(u0, dtype=float)
     if tau == 0:
         return u0.copy()
-    return integrate(system, u0, 0.0, tau, integrator)
+    return integrate(system, u0, 0.0, tau, dt)
 
 
-def propagate_frame(system, u_prev, Q_prev, T, epsilon, integrator):
+def propagate_frame(system, u_prev, Q_prev, T, epsilon, dt):
     """One interval: advance the base state and the m perturbed states.
 
     Returns (u_next, V) where column i of V is the finite-difference
@@ -82,7 +87,7 @@ def propagate_frame(system, u_prev, Q_prev, T, epsilon, integrator):
     if ortho_err > 1e-8:
         raise ValueError(f"Q_prev columns not orthonormal (deviation {ortho_err:.2e})")
     batch = np.concatenate([u_prev[None, :], u_prev[None, :] + epsilon * Q_prev.T])
-    out = integrate(system, batch, 0.0, T, integrator)
+    out = integrate(system, batch, 0.0, T, dt)
     u_next = out[0]
     V = (out[1:] - u_next).T / epsilon
     if not np.all(np.isfinite(V)):
@@ -125,12 +130,12 @@ def compute_spectrum(system, cfg, u0=None):
     if u0 is None:
         u0 = initial_state(system.dim, cfg.seed)
     t_start = time.perf_counter()
-    u = burn_in(system, np.asarray(u0, dtype=float), cfg.tau, cfg.integrator)
+    u = burn_in(system, np.asarray(u0, dtype=float), cfg.tau, cfg.dt)
     Q = system.initial_frame(cfg.m)
     logR = np.empty((cfg.N, cfg.m))
     for j in range(cfg.N):
         try:
-            u, V = propagate_frame(system, u, Q, cfg.T, cfg.epsilon, cfg.integrator)
+            u, V = propagate_frame(system, u, Q, cfg.T, cfg.epsilon, cfg.dt)
             Q, r_diag = reorthonormalize(V)
         except Exception as exc:
             exc.args = (f"interval {j + 1}/{cfg.N}: {exc}",)

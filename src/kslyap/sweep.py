@@ -32,10 +32,13 @@ from .errors import FingerprintMismatch
 from .ks import DomainSpec, make_model, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
 from .lyapunov import LyapunovConfig, compute_spectrum
 
-#: Revisions of each boundary condition's numerics since the first release,
-#: merged into every fingerprint payload.  Odd-periodic spectra start from
-#: sine modes instead of grid-point perturbations.
-NUMERICS = {PERIODIC: {}, ODD_PERIODIC: {"initial_frame": "sine"}}
+#: Each boundary condition's numerics, merged into every fingerprint payload:
+#: first the scheme its system is integrated with (``dynamics.make_stepper``
+#: picks it from the system), then the revisions since the first release.
+#: Odd-periodic spectra start from sine modes instead of grid-point
+#: perturbations.
+NUMERICS = {PERIODIC: {"scheme": "etdrk4"},
+            ODD_PERIODIC: {"scheme": "imex_cnab2", "initial_frame": "sine"}}
 
 #: Records with leading exponent below this are flagged non-chaotic.
 NONCHAOTIC_THRESHOLD = 0.005
@@ -99,7 +102,8 @@ class SweepPlan:
         return fingerprint(self._settings())
 
     def echo(self):
-        return {"L_start": self.L_start, "L_end": self.L_end, **self._settings()}
+        return {"L_start": self.L_start, "L_end": self.L_end,
+                **_payload(self._settings())}
 
 
 def spectrum_settings(bc, k_max, lyap):
@@ -107,14 +111,18 @@ def spectrum_settings(bc, k_max, lyap):
     seed is chosen; callers add those."""
     return {"bc": bc, "k_max": k_max,
             "m": lyap.m, "tau": lyap.tau, "T": lyap.T,
-            "N": lyap.N, "epsilon": lyap.epsilon,
-            "dt": lyap.integrator.dt, "scheme": lyap.integrator.scheme}
+            "N": lyap.N, "epsilon": lyap.epsilon, "dt": lyap.dt}
+
+
+def _payload(settings):
+    """``settings`` (which names its ``bc``) merged with that boundary
+    condition's :data:`NUMERICS` entry."""
+    return {**settings, **NUMERICS[settings["bc"]]}
 
 
 def fingerprint(settings):
-    """SHA-256 hex digest of ``settings`` (which names its ``bc``) merged with
-    that boundary condition's :data:`NUMERICS` entry."""
-    payload = {**settings, **NUMERICS[settings["bc"]]}
+    """SHA-256 hex digest of ``settings`` merged with its :data:`NUMERICS` entry."""
+    payload = _payload(settings)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -177,6 +185,18 @@ def read_records(path, check_dky=True):
     return records
 
 
+def spectrum_record(L, bc, seed, exponents):
+    """The record of a computed spectrum: its D_KY and its flags."""
+    ky = analysis.kaplan_yorke(exponents)
+    flags = set()
+    if exponents[0] < NONCHAOTIC_THRESHOLD:
+        flags.add("nonchaotic")
+    if ky.unsaturated:
+        flags.add("unsaturated")
+    return SpectrumRecord(L=L, bc=bc, seed=seed, exponents=exponents,
+                          dky=ky.dimension, j=ky.j, flags=frozenset(flags))
+
+
 def compute_point(bc, L, k_max, lyap, seed):
     """Compute one SpectrumRecord; failures are captured in the flags."""
     cfg = replace(lyap, seed=seed)
@@ -187,14 +207,7 @@ def compute_point(bc, L, k_max, lyap, seed):
         return SpectrumRecord(L=L, bc=bc, seed=seed,
                               exponents=np.full(lyap.m, np.nan),
                               dky=float("nan"), j=0, flags=frozenset({"failed"}))
-    ky = analysis.kaplan_yorke(result.exponents)
-    flags = set()
-    if result.exponents[0] < NONCHAOTIC_THRESHOLD:
-        flags.add("nonchaotic")
-    if ky.unsaturated:
-        flags.add("unsaturated")
-    return SpectrumRecord(L=L, bc=bc, seed=seed, exponents=result.exponents,
-                          dky=ky.dimension, j=ky.j, flags=frozenset(flags))
+    return spectrum_record(L, bc, seed, result.exponents)
 
 
 def _load_existing(plan, path):

@@ -21,12 +21,12 @@ import time
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, IntegratorConfig, LyapunovConfig, SweepPlan,
+from kslyap import (DomainSpec, LyapunovConfig, SweepPlan,
                     compute_spectrum, diagonal_linear_system, fit_dky_linear,
                     fit_power_law, kaplan_yorke, lorenz_system, make_model,
                     read_records, reorthonormalize, run_sweep,
                     scan_exponent_p, scan_reorthonormalization_interval,
-                    scheme_for, windowed_median_mad)
+                    windowed_median_mad)
 from kslyap.sweep import NUMERICS, fingerprint, spectrum_settings
 
 CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -50,8 +50,7 @@ def cache_path(stem, spec, cfg, **extra):
 def spectrum_job(bc, L, m, dt=0.05, seed=0, N=1000, T=2.0, tau=2000.0, k_max=9.0):
     """Domain, configuration and cache file of a production KS spectrum."""
     spec = DomainSpec(L=L, bc=bc, k_max_target=k_max)
-    cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed,
-                         integrator=IntegratorConfig(dt=dt, scheme=scheme_for(bc)))
+    cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed, dt=dt)
     return spec, cfg, cache_path(f"{bc}_L{L:g}_m{m}_dt{dt:g}", spec, cfg)
 
 
@@ -84,8 +83,7 @@ def test_numerics_entry_renames_only_its_caches(bc, monkeypatch):
 
 def test_diagonal_linear_oracle():
     rates = np.array([0.3, -0.1, -2.0])
-    cfg = LyapunovConfig(m=3, tau=0.0, T=1.0, N=50, epsilon=1e-6, seed=0,
-                         integrator=IntegratorConfig(dt=0.01, scheme="rk4"))
+    cfg = LyapunovConfig(m=3, tau=0.0, T=1.0, N=50, epsilon=1e-6, seed=0, dt=0.01)
     t0 = time.time()
     result = compute_spectrum(diagonal_linear_system(rates), cfg)
     wall = time.time() - t0
@@ -97,8 +95,7 @@ def test_diagonal_linear_oracle():
 # -- criterion: Lorenz oracle ------------------------------------------------
 
 def test_lorenz_oracle():
-    cfg = LyapunovConfig(m=3, tau=20.0, T=0.5, N=2000, epsilon=1e-6, seed=0,
-                         integrator=IntegratorConfig(dt=0.005, scheme="rk4"))
+    cfg = LyapunovConfig(m=3, tau=20.0, T=0.5, N=2000, epsilon=1e-6, seed=0, dt=0.005)
     t0 = time.time()
     result = compute_spectrum(lorenz_system(), cfg)
     wall = time.time() - t0
@@ -170,8 +167,7 @@ SWEEP_CENTERS = (55.0, 65.0, 75.0, 85.0, 95.0)
 
 def _sweep_records():
     records = []
-    lyap = LyapunovConfig(m=12, tau=2000.0, T=2.0, N=1000, epsilon=1e-6, seed=0,
-                          integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    lyap = LyapunovConfig(m=12, tau=2000.0, T=2.0, N=1000, epsilon=1e-6, seed=0, dt=0.05)
     for c in SWEEP_CENTERS:
         out = os.path.join(CACHE, f"sweep_periodic_L{c:g}.csv")
         plan = SweepPlan(L_start=c - 1.0, L_end=c + 1.0, dL=0.1, bc="periodic",
@@ -227,8 +223,7 @@ def test_qr_orthonormality_invariant():
 
 def test_dimension_recompute_invariant(tmp_path):
     # D_KY recomputed from stored exponents must match the stored value
-    lyap = LyapunovConfig(m=4, tau=10.0, T=0.5, N=10, epsilon=1e-6, seed=0,
-                          integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    lyap = LyapunovConfig(m=4, tau=10.0, T=0.5, N=10, epsilon=1e-6, seed=0, dt=0.05)
     out = str(tmp_path / "recompute_check.csv")
     plan = SweepPlan(L_start=22.0, L_end=24.0, dL=1.0, bc="periodic",
                      lyap=lyap, output_path=out)
@@ -243,8 +238,7 @@ def test_mean_conservation_invariant():
     from kslyap import PeriodicSpectralModel, initial_state, integrate
     model = PeriodicSpectralModel(DomainSpec(L=36.0))
     u0 = initial_state(model.dim, 3)
-    u = integrate(model.build_system(), u0, 0.0, 100.0,
-                  IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    u = integrate(model.build_system(), u0, 0.0, 100.0, 0.05)
     drift = abs(model.field_mean(u) - model.field_mean(u0))
     _report("mean conservation", drift < 1e-6, f"drift {drift:.2e} over 100 units")
 

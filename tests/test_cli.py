@@ -63,6 +63,46 @@ def test_lyap_oracle_diaglin(tmp_path, capsys):
     assert abs(float(cells[4]) - kaplan_yorke(lam).dimension) < 1e-12
 
 
+def _lyap_file(path):
+    """(settings echoed on the metadata line, the data row's cells)."""
+    lines = path.read_text().split("\n")
+    echo = dict(pair.split("=", 1) for pair in lines[1][2:].split())
+    return echo, lines[3].split(",")
+
+
+def test_lyap_oracle_dt_flag_is_used_and_echoed(tmp_path, capsys):
+    argv = ["lyap", "--system", "lorenz", "--tau", "1", "--T", "0.5", "--N", "4"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--dt", "0.001", "--out", str(b)]) == 0
+    capsys.readouterr()
+    echo_a, row_a = _lyap_file(a)
+    echo_b, row_b = _lyap_file(b)
+    assert (echo_a["dt"], echo_a["m"]) == ("0.005", "3")  # the oracle's defaults
+    assert (echo_b["dt"], echo_b["m"]) == ("0.001", "3")
+    assert row_a[6:] != row_b[6:]
+
+
+def test_lyap_config_file_dt_overrides_the_oracle_step(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("dt = 0.001\n")
+    out = tmp_path / "a.csv"
+    assert main(["lyap", "--system", "lorenz", "--config", str(cfgfile), "--tau", "1",
+                 "--T", "0.5", "--N", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _lyap_file(out)[0]["dt"] == "0.001"
+
+
+def test_lyap_row_flags_match_a_sweep_row(tmp_path, capsys):
+    # two exponents summing to 0.2 > 0: D_KY = j = m, which a sweep flags
+    out = tmp_path / "m2.csv"
+    code, _, _ = run(["lyap", "--system", "diaglin", "--m", "2", "--tau", "0",
+                      "--T", "1", "--N", "10", "--out", str(out)], capsys)
+    assert code == 0
+    _, cells = _lyap_file(out)
+    assert cells[3] == "unsaturated" and cells[5] == "2"
+
+
 def test_lyap_oracle_lorenz_scan_T(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run(["lyap", "--system", "lorenz", "--m", "3", "--tau", "5",

@@ -4,15 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kslyap import (FingerprintMismatch, IntegratorConfig, LyapunovConfig,
+from kslyap import (FingerprintMismatch, LyapunovConfig,
                     SpectrumRecord, SweepPlan, kaplan_yorke, read_records,
                     run_sweep)
 from kslyap.sweep import NUMERICS, header_row, record_to_row, row_to_record
 
 
 def tiny_plan(tmp_path, name="out.csv", **kwargs):
-    lyap = LyapunovConfig(m=2, tau=5.0, T=0.5, N=5, epsilon=1e-6, seed=42,
-                          integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    lyap = LyapunovConfig(m=2, tau=5.0, T=0.5, N=5, epsilon=1e-6, seed=42, dt=0.05)
     defaults = dict(L_start=10.0, L_end=12.0, dL=1.0, bc="periodic",
                     lyap=lyap, output_path=str(tmp_path / name), workers=1)
     defaults.update(kwargs)
@@ -102,21 +101,14 @@ def test_resume_with_nothing_missing_leaves_file_alone(tmp_path):
     assert open(plan.output_path, "rb").read() == before
 
 
-def _integrator(plan, **changes):
-    integrator = replace(plan.lyap.integrator, **changes)
-    return replace(plan, lyap=replace(plan.lyap, integrator=integrator))
-
-
-@pytest.mark.parametrize("change", ["epsilon", "scheme", "dt", "k_max", "numerics"])
+@pytest.mark.parametrize("change", ["epsilon", "dt", "k_max", "numerics"])
 def test_fingerprint_mismatch_refuses_to_mix(tmp_path, monkeypatch, change):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
     if change == "epsilon":
         changed = replace(plan, lyap=replace(plan.lyap, epsilon=1e-5))
-    elif change == "scheme":
-        changed = _integrator(plan, scheme="rk4")
     elif change == "dt":
-        changed = _integrator(plan, dt=0.025)
+        changed = replace(plan, lyap=replace(plan.lyap, dt=0.025))
     elif change == "k_max":
         changed = replace(plan, k_max=8.0)
     else:
@@ -145,15 +137,15 @@ def test_resume_to_a_larger_L_end_keeps_rows(tmp_path):
 
 
 def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
-    # digests of these plans while odd spectra still started from grid-point
-    # perturbations: the periodic one must stay, the odd one must not resume
+    # the periodic digest predates the sine frame and must stay
     assert tiny_plan(tmp_path).fingerprint() == (
         "4ea361e8ea1ca39ce027169e9c677bcf52c7aeabbab74cb6253d7e9374451a2b")
     plan = tiny_plan(tmp_path, bc="odd")
-    # the odd digest since spectra start from sine modes
+    # the odd digest (IMEX-CNAB2) since spectra start from sine modes
     assert plan.fingerprint() == (
-        "81ebbc233317ea9ced9420ec248d23b2c8ad4e7e942a5499c82710aba6371f16")
-    old = "b56a1015ef0bf1de80cdb2f15b1663c92ffb7e7f70c65c56f1ac9655e58362d2"
+        "bae4ad164709455538e9193e73f1a0c4b66d538d06e1e0f3e4e187172be55676")
+    # the odd digest while spectra started from grid-point perturbations
+    old = "8a3cde559d677701aaacab87f8610c388a76343448321bfd5d3712eb4ca3ea1f"
     with open(plan.output_path + ".meta.json", "w") as fh:
         json.dump({"fingerprint": old}, fh)
     with open(plan.output_path, "w") as fh:
@@ -204,8 +196,7 @@ def test_record_row_round_trip():
 
 def test_failed_point_is_flagged_not_fatal(tmp_path):
     # epsilon so tiny the perturbations underflow into rank deficiency
-    lyap = LyapunovConfig(m=2, tau=0.0, T=0.5, N=2, epsilon=1e-310, seed=1,
-                          integrator=IntegratorConfig(dt=0.05, scheme="etdrk4"))
+    lyap = LyapunovConfig(m=2, tau=0.0, T=0.5, N=2, epsilon=1e-310, seed=1, dt=0.05)
     plan = tiny_plan(tmp_path, lyap=lyap)
     records = run_sweep(plan)
     assert len(records) == 3
