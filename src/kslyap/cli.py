@@ -118,7 +118,9 @@ def cmd_lyap(args):
     cfg = _effective(args, keys)
     if cfg["system"]:
         system, dt = _oracle_system(cfg["system"])
-        # the oracle's step unless a flag or the config file sets dt
+        # the oracle's step unless a flag or the config file sets dt; no
+        # domain, boundary condition or resolution applies, so none is echoed
+        keys = [k for k in keys if k not in ("bc", "L", "kmax")]
         cfg = _effective(args, keys, {**_DEFAULTS, "dt": dt})
         cfg["m"] = min(int(cfg["m"]), system.dim)
         bc, L = cfg["system"], float("nan")

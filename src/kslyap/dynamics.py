@@ -16,9 +16,17 @@ stiff linear operator it declares:
   evaluation of the phi-function coefficients);
 * neither                                  -- classic explicit RK4, for
   non-stiff systems.
+
+A system builds each stepper once: :func:`integrate` and
+:func:`jacobian_trace_average` take the stepper of their step ``dt`` from a
+cache on the system, one stepper per step size, and call
+:func:`make_stepper` only on a miss.  Every walk restarts the stepper it
+takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
+the explicit part, as a newly built stepper does; results do not depend on
+what the system integrated before.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +53,11 @@ class DynamicalSystem:
     Lyapunov computation starts from.  Systems may supply ``frame_factory``
     (a callable ``m -> (dim, m)`` array) for a basis suited to their
     coordinates; otherwise the frame is the first m coordinate vectors.
+
+    ``rhs`` must return a new array: the ETDRK4 stepper updates it in place.
+    The system keeps the steppers :func:`integrate` builds for it, one per
+    step size, so its operator fields are not to be changed after the first
+    integration.
     """
 
     dim: int
@@ -53,6 +66,8 @@ class DynamicalSystem:
     label: str = ""
     stiff_linear_matrix: Optional[sp.spmatrix] = None
     frame_factory: Optional[Callable] = None
+    _steppers: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -83,11 +98,20 @@ def initial_state(dim, seed):
 
 
 def _check_finite(u, t):
-    if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_NORM:
+    # one reduction: NaN fails the comparison, as +-inf and a blow-up do
+    if not np.max(np.abs(u)) <= BLOWUP_NORM:
         raise IntegrationBlowUp(t)
 
 
-class _RK4Stepper:
+class _Stepper:
+    """A fixed-step scheme; ``restart`` forgets any multistep history, so the
+    next step is taken as by a newly built stepper."""
+
+    def restart(self):
+        pass
+
+
+class _RK4Stepper(_Stepper):
     def __init__(self, system, dt):
         self.f = system.rhs_batch
         self.dt = dt
@@ -101,7 +125,7 @@ class _RK4Stepper:
         return u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-class _ETDRK4Stepper:
+class _ETDRK4Stepper(_Stepper):
     """Cox-Matthews ETDRK4 for a diagonal stiff linear part.
 
     The four phi-function coefficient vectors are evaluated by averaging over
@@ -127,20 +151,44 @@ class _ETDRK4Stepper:
         self.f1 = h * np.real(np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1))
         self.f2 = h * np.real(np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
         self.f3 = h * np.real(np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1))
+        self._2f2 = 2 * self.f2
 
     def _nl(self, t, u):
-        return self.f(t, u) - self.lam * u
+        n = self.f(t, u)
+        n -= self.lam * u
+        return n
 
     def step(self, t, u):
-        h = self.dt
+        """One step of
+
+            a = E/2 u + Q N(u),   b = E/2 u + Q N(a),   c = E/2 a + Q (2 N(b) - N(u)),
+            u' = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c),
+
+        with N(v) = f(v) - lam v, evaluated in place in that order of
+        operations.
+        """
+        h, q = self.dt, self.q
         n0 = self._nl(t, u)
-        a = self.e_half * u + self.q * n0
+        half_u = self.e_half * u
+        a = q * n0
+        a += half_u
         na = self._nl(t + h / 2, a)
-        b = self.e_half * u + self.q * na
+        b = q * na
+        b += half_u
         nb = self._nl(t + h / 2, b)
-        c = self.e_half * a + self.q * (2 * nb - n0)
+        c = 2 * nb
+        c -= n0
+        c *= q
+        c += self.e_half * a
         nc = self._nl(t + h, c)
-        return self.e_full * u + self.f1 * n0 + 2 * self.f2 * (na + nb) + self.f3 * nc
+        out = self.e_full * u
+        out += self.f1 * n0
+        na += nb
+        na *= self._2f2
+        out += na
+        nc *= self.f3
+        out += nc
+        return out
 
 
 def _sparse_to_banded(mat):
@@ -157,21 +205,25 @@ def _sparse_to_banded(mat):
     return ab, lo, up
 
 
-class _IMEXCNAB2Stepper:
+class _IMEXCNAB2Stepper(_Stepper):
     """Crank-Nicolson (linear) / Adams-Bashforth-2 (remainder).
 
     The implicit linear operator is the sparse ``stiff_linear_matrix``.  The
-    first step uses explicit Euler for the nonlinear term.
+    first step after construction or ``restart`` uses explicit Euler for the
+    nonlinear term.
     """
 
     def __init__(self, system, dt):
         self.f = system.rhs_batch
         self.dt = dt
-        self._nl_prev = None
+        self.restart()
         self.L = sp.csr_matrix(system.stiff_linear_matrix)
         n = self.L.shape[0]
         lhs = sp.eye(n) - (dt / 2) * self.L
         self._ab, self._lo, self._up = _sparse_to_banded(lhs)
+
+    def restart(self):
+        self._nl_prev = None
 
     def _nl(self, t, u):
         return self.f(t, u) - (self.L @ u.T).T
@@ -198,6 +250,17 @@ def make_stepper(system, dt):
     if system.stiff_linear_part is not None:
         return _ETDRK4Stepper(system, dt)
     return _RK4Stepper(system, dt)
+
+
+def _stepper(system, dt):
+    """The system's stepper of step ``dt``: built by :func:`make_stepper` on
+    first use and restarted on every use, so each walk starts as with a new
+    stepper (IMEX-CNAB2's Adams-Bashforth history does not carry over)."""
+    stepper = system._steppers.get(dt)
+    if stepper is None:
+        stepper = system._steppers[dt] = make_stepper(system, dt)
+    stepper.restart()
+    return stepper
 
 
 def _step_count(t0, t1, dt):
@@ -231,14 +294,14 @@ def integrate(system, u0, t0, t1, dt):
         return u[0] if single else u
 
     n_steps, remainder = _step_count(t0, t1, dt)
-    stepper = make_stepper(system, dt)
+    stepper = _stepper(system, dt)
     t = t0
     for _ in range(n_steps):
         u = stepper.step(t, u)
         t += dt
         _check_finite(u, t)
     if remainder > 0:
-        u = make_stepper(system, remainder).step(t, u)
+        u = _stepper(system, remainder).step(t, u)
         _check_finite(u, t1)
     return u[0] if single else u
 
@@ -260,7 +323,7 @@ def jacobian_trace_average(system, u0, horizon, dt):
     """
     u = np.asarray(u0, dtype=float)
     n_steps, remainder = _step_count(0.0, horizon, dt)
-    stepper = make_stepper(system, dt)
+    stepper = _stepper(system, dt)
     samples = []
     t = 0.0
     for _ in range(n_steps):

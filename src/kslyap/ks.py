@@ -8,6 +8,9 @@ Two discretizations are provided for the two boundary conditions:
                    wavenumbers k_j = 2*pi*j/L.  The quadratic term is
                    evaluated on a physical grid large enough (>= 3n+1 points)
                    that the retained band is alias-free, i.e. the 2/3 rule.
+                   The RHS works in real arithmetic on float views of the
+                   spectra and is bit-identical to the complex formula
+                   ``(k^2 - k^4) c - (ik/2) FFT[u^2]``.
 * odd-periodic  -- second-order central finite differences on the interior
                    grid, with u = u_xx = 0 at both ends enforced by
                    odd-reflection ghost points.  The nonlinearity is the
@@ -76,6 +79,8 @@ class PeriodicSpectralModel:
         self.k = 2 * np.pi * np.arange(n_modes + 1) / L
         growth = self.k**2 - self.k**4
         self.stiff_linear_part = np.concatenate([growth, growth[1:]])
+        self._half_k = 0.5 * self.k
+        self._inv_grid_size = 1.0 / self.grid_size
 
     def pack(self, coeffs):
         """Complex spectrum (..., n+1) -> real state (..., 2n+1)."""
@@ -89,14 +94,28 @@ class PeriodicSpectralModel:
         return coeffs
 
     def rhs(self, t, state):
+        """(k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state.
+
+        Evaluated in real arithmetic on float views of the complex spectra,
+        with the operations of the complex formula
+        ``(k**2 - k**4) * c - 0.5j * k * (rfft(irfft(c * M)**2) / M)``
+        in the same order, so the result has the same bits (numpy's complex
+        ``/ M`` multiplies by ``1 / M``).
+        """
         n, M = self.n_modes, self.grid_size
-        coeffs = self.unpack(np.atleast_2d(state))
-        full = np.zeros((coeffs.shape[0], M // 2 + 1), dtype=complex)
-        full[:, : n + 1] = coeffs * M  # rfft normalization
-        u = np.fft.irfft(full, M, axis=-1)
-        sq = np.fft.rfft(u * u, axis=-1)[:, : n + 1] / M
-        dcoeffs = (self.k**2 - self.k**4) * coeffs - 0.5j * self.k * sq
-        out = self.pack(dcoeffs)
+        s = np.atleast_2d(state)
+        # (batch, M//2+1, 2): real and imaginary parts of the padded spectrum
+        spectrum = np.zeros((s.shape[0], M // 2 + 1, 2))
+        spectrum[:, : n + 1, 0] = s[:, : n + 1]
+        spectrum[:, 1 : n + 1, 1] = s[:, n + 1 :]
+        spectrum[:, : n + 1] *= M  # rfft normalization
+        u = np.fft.irfft(spectrum.view(complex)[..., 0], M, axis=-1)
+        u *= u
+        sq = np.fft.rfft(u, axis=-1).view(float).reshape(spectrum.shape)[:, : n + 1]
+        sq *= self._inv_grid_size
+        out = self.stiff_linear_part * s
+        out[:, : n + 1] += self._half_k * sq[..., 1]
+        out[:, n + 1 :] -= self._half_k[1:] * sq[:, 1:, 0]
         return out[0] if np.ndim(state) == 1 else out
 
     def to_physical(self, state, n_points=None):

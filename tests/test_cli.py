@@ -83,6 +83,28 @@ def test_lyap_oracle_dt_flag_is_used_and_echoed(tmp_path, capsys):
     assert row_a[6:] != row_b[6:]
 
 
+@pytest.mark.parametrize("system", ["lorenz", "diaglin"])
+def test_lyap_oracle_echo_names_only_settings_that_apply(tmp_path, capsys, system):
+    out = tmp_path / "a.csv"
+    assert main(["lyap", "--system", system, "--tau", "1", "--T", "0.5", "--N", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    echo, cells = _lyap_file(out)
+    assert echo["system"] == system and cells[1] == system
+    assert not {"bc", "L", "kmax"} & set(echo)
+    assert {"m", "tau", "T", "N", "epsilon", "seed", "dt"} <= set(echo)
+
+
+def test_lyap_ks_echo_keeps_the_domain(tmp_path, capsys):
+    out = tmp_path / "ks.csv"
+    assert main(["lyap", "--L", "22", "--m", "2", "--tau", "0", "--T", "0.5", "--N", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    echo, _ = _lyap_file(out)
+    assert (echo["L"], echo["bc"], echo["kmax"], echo["system"]) == (
+        "22", "periodic", "9.0", "None")
+
+
 def test_lyap_config_file_dt_overrides_the_oracle_step(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dt = 0.001\n")

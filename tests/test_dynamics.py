@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, DynamicalSystem, IntegrationBlowUp,
-                    diagonal_linear_system, integrate, jacobian_trace_average,
-                    lorenz_system, make_model)
-from kslyap.dynamics import (_ETDRK4Stepper, _IMEXCNAB2Stepper, _RK4Stepper,
-                             make_stepper)
+from kslyap import (DomainSpec, DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
+                    compute_spectrum, diagonal_linear_system, initial_state, integrate,
+                    jacobian_trace_average, lorenz_system, make_model)
+from kslyap import dynamics
+from kslyap.dynamics import (BLOWUP_NORM, _ETDRK4Stepper, _IMEXCNAB2Stepper,
+                             _RK4Stepper, make_stepper)
 from kslyap.sweep import NUMERICS
 
 
@@ -89,6 +90,22 @@ def test_blow_up_carries_time():
     assert 0 < err.value.time <= 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 10 * BLOWUP_NORM / DT, -10 * BLOWUP_NORM / DT])
+def test_blow_up_detects_every_bad_value(bad):
+    # from t = 0.5 the RHS of one component of the second row is `bad`: the
+    # state turns NaN, infinite or beyond BLOWUP_NORM in the next step
+    def rhs(t, u):
+        out = np.zeros_like(u)
+        if t >= 0.5:
+            out[-1, 0] = bad
+        return out
+    system = DynamicalSystem(dim=2, rhs=rhs)
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(system, np.ones((2, 2)), 0.2, 1.0, DT)
+    assert 0.5 - DT < err.value.time <= 0.5 + DT
+
+
 def test_trace_average_constant_jacobian():
     got = jacobian_trace_average(diagonal_linear_system([-1.0]), np.array([2.0]), 3.0, DT)
     assert abs(got - (-1.0)) < 1e-6
@@ -138,3 +155,39 @@ def test_batched_matches_sequential():
     together = integrate(system, batch, 0.0, 1.0, DT)
     singly = np.stack([integrate(system, row, 0.0, 1.0, DT) for row in batch])
     assert np.array_equal(together, singly)
+
+
+def test_stepper_built_once_per_system_and_step(monkeypatch):
+    built = []
+
+    def counting(system, dt):
+        built.append((system.label, dt))
+        return make_stepper(system, dt)
+
+    monkeypatch.setattr(dynamics, "make_stepper", counting)
+    cfg = LyapunovConfig(m=3, tau=1.0, T=0.5, N=4, dt=0.05)
+    labels = []
+    for bc in ("periodic", "odd"):
+        system = make_model(DomainSpec(L=22.0, bc=bc)).build_system()
+        labels.append(system.label)
+        u = compute_spectrum(system, cfg).final_state
+        jacobian_trace_average(system, u, 0.1, 0.05)
+    assert built == [(label, 0.05) for label in labels]
+
+
+def _odd_system():
+    return make_model(DomainSpec(L=22.0, bc="odd")).build_system()
+
+
+def test_reused_stepper_restarts_its_history():
+    # IMEX-CNAB2 keeps an Adams-Bashforth history; a walk on a system that
+    # has stepped before equals one on a newly built system, bit for bit,
+    # whatever batch shape and remainder step came before
+    system = _odd_system()
+    u = 0.1 * initial_state(system.dim, 1)
+    block = u + 1e-3 * np.random.default_rng(0).standard_normal((25, system.dim))
+    for _ in range(2):
+        for state, t1 in ((u, 1.0), (block, 1.0), (u, 1.03), (block, 1.03)):
+            got = integrate(system, state, 0.0, t1, DT)
+            want = integrate(_odd_system(), state, 0.0, t1, DT)
+            assert got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import pytest
 from kslyap import (DomainSpec, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse,
                     diagonal_linear_system, initial_state, integrate, lorenz_system)
+from kslyap.dynamics import _ETDRK4Stepper
 
 DT = 0.05
 
@@ -185,3 +186,59 @@ def test_odd_boundary_invariants_hold():
     # u_xx = 0 at the wall under the odd-reflection convention: the
     # reconstructed second difference at x=0 uses u(-h) = -u(h) exactly
     assert (-full[1] - 2 * full[0] + full[1]) == pytest.approx(0.0)
+
+
+def _complex_rhs(model, state):
+    """The periodic RHS by its complex formula: unpack -> irfft -> square ->
+    rfft / M -> (k^2 - k^4) c - (ik/2) sq -> pack."""
+    n, M, k = model.n_modes, model.grid_size, model.k
+    coeffs = state[:, : n + 1].astype(complex)
+    coeffs[:, 1:] += 1j * state[:, n + 1 :]
+    full = np.zeros((state.shape[0], M // 2 + 1), dtype=complex)
+    full[:, : n + 1] = coeffs * M
+    u = np.fft.irfft(full, M, axis=-1)
+    sq = np.fft.rfft(u * u, axis=-1)[:, : n + 1] / M
+    dcoeffs = (k**2 - k**4) * coeffs - 0.5j * k * sq
+    return np.concatenate([dcoeffs.real, dcoeffs[:, 1:].imag], axis=-1)
+
+
+@pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0])
+def test_periodic_rhs_matches_the_complex_formula(L):
+    model = PeriodicSpectralModel(DomainSpec(L=L))
+    rng = np.random.default_rng(int(10 * L))
+    for rows in (1, 13, 25):
+        block = rng.standard_normal((rows, model.dim))
+        got = model.rhs(0.0, block)
+        assert np.array_equal(got, _complex_rhs(model, block))
+        for row, state in zip(got, block):
+            assert row.tobytes() == model.rhs(0.0, state).tobytes()
+
+
+@pytest.mark.parametrize("L", [22.0, 100.0])
+def test_etdrk4_step_matches_the_textbook_expression(L):
+    system = PeriodicSpectralModel(DomainSpec(L=L)).build_system()
+    stepper = _ETDRK4Stepper(system, DT)
+    E, E2, Q = stepper.e_full, stepper.e_half, stepper.q
+    f1, f2, f3, lam = stepper.f1, stepper.f2, stepper.f3, system.stiff_linear_part
+
+    def N(t, v):
+        return system.rhs(t, v) - lam * v
+
+    t, h = 1.5, DT
+    rng = np.random.default_rng(int(10 * L))
+    for rows in (1, 13, 25):
+        u = 0.5 * rng.standard_normal((rows, system.dim))
+        before = u.copy()
+        Nu = N(t, u)
+        a = E2 * u + Q * Nu
+        Na = N(t + h / 2, a)
+        b = E2 * u + Q * Na
+        Nb = N(t + h / 2, b)
+        c = E2 * a + Q * (2 * Nb - Nu)
+        Nc = N(t + h, c)
+        want = E * u + f1 * Nu + 2 * f2 * (Na + Nb) + f3 * Nc
+        got = stepper.step(t, u)
+        assert np.array_equal(got, want)
+        assert np.array_equal(u, before)
+        for row, state in zip(got, u):
+            assert row.tobytes() == stepper.step(t, state[None, :])[0].tobytes()
