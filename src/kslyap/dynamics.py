@@ -10,7 +10,9 @@ The system determines its fixed-step scheme (:func:`make_stepper`) from the
 stiff linear operator it declares:
 
 * ``stiff_linear_matrix`` (sparse, banded) -- IMEX-CNAB2: Crank-Nicolson on
-  the linear part, Adams-Bashforth-2 on the rest;
+  the linear part, Adams-Bashforth-2 on the rest; the banded Crank-Nicolson
+  matrix is LU-factored once per stepper (LAPACK ``dgbtrf``) and each step
+  is one product with the matrix and one banded solve (``dgbtrs``);
 * ``stiff_linear_part`` (a diagonal)       -- ETDRK4: exponential time
   differencing RK4 (Cox-Matthews, with the Kassam-Trefethen contour
   evaluation of the phi-function coefficients);
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import IntegrationBlowUp
 
@@ -54,7 +56,8 @@ class DynamicalSystem:
     (a callable ``m -> (dim, m)`` array) for a basis suited to their
     coordinates; otherwise the frame is the first m coordinate vectors.
 
-    ``rhs`` must return a new array: the ETDRK4 stepper updates it in place.
+    ``rhs`` must return a new array: the ETDRK4 and IMEX-CNAB2 steppers
+    update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
     step size, so its operator fields are not to be changed after the first
     integration.
@@ -192,16 +195,18 @@ class _ETDRK4Stepper(_Stepper):
 
 
 def _sparse_to_banded(mat):
-    """Extract (ab, l, u) diagonal-ordered form for scipy.linalg.solve_banded."""
+    """Extract (ab, l, u): the matrix in LAPACK band storage with ``l`` extra
+    leading rows for the fill-in of a partial-pivoting LU, as ``dgbtrf``
+    takes it (``ab[l + u + r - c, c] = mat[r, c]``)."""
     mat = sp.csr_matrix(mat)
     n = mat.shape[0]
     coo = mat.tocoo()
     offsets = coo.col - coo.row
     lo = int(max(0, -offsets.min(initial=0)))
     up = int(max(0, offsets.max(initial=0)))
-    ab = np.zeros((lo + up + 1, n))
+    ab = np.zeros((2 * lo + up + 1, n))
     for r, c, v in zip(coo.row, coo.col, coo.data):
-        ab[up + r - c, c] = v
+        ab[lo + up + r - c, c] = v
     return ab, lo, up
 
 
@@ -209,8 +214,13 @@ class _IMEXCNAB2Stepper(_Stepper):
     """Crank-Nicolson (linear) / Adams-Bashforth-2 (remainder).
 
     The implicit linear operator is the sparse ``stiff_linear_matrix``.  The
-    first step after construction or ``restart`` uses explicit Euler for the
-    nonlinear term.
+    banded matrix ``I - dt/2 L`` is LU-factored once, here, by LAPACK
+    ``dgbtrf``; each step takes one product ``L u``, shared by the nonlinear
+    term and the Crank-Nicolson right-hand side, and one banded solve
+    ``dgbtrs`` in place.  ``dgbsv`` (``scipy.linalg.solve_banded``) is these
+    two calls, so the result has the same bits as solving afresh each step.
+    The first step after construction or ``restart`` uses explicit Euler for
+    the nonlinear term.
     """
 
     def __init__(self, system, dt):
@@ -220,25 +230,30 @@ class _IMEXCNAB2Stepper(_Stepper):
         self.L = sp.csr_matrix(system.stiff_linear_matrix)
         n = self.L.shape[0]
         lhs = sp.eye(n) - (dt / 2) * self.L
-        self._ab, self._lo, self._up = _sparse_to_banded(lhs)
+        ab, self._lo, self._up = _sparse_to_banded(lhs)
+        self._lu, self._piv, info = dgbtrf(ab, self._lo, self._up)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"dgbtrf failed on I - dt/2 L (info={info}) at dt={dt:g}")
 
     def restart(self):
         self._nl_prev = None
 
-    def _nl(self, t, u):
-        return self.f(t, u) - (self.L @ u.T).T
-
     def step(self, t, u):
         dt = self.dt
-        nl = self._nl(t, u)
+        Lu = (self.L @ u.T).T
+        nl = self.f(t, u)
+        nl -= Lu
         if self._nl_prev is None:
             expl = nl
         else:
             expl = 1.5 * nl - 0.5 * self._nl_prev
         self._nl_prev = nl
-        rhs = u + (dt / 2) * (self.L @ u.T).T + dt * expl
-        out = solve_banded((self._lo, self._up), self._ab, rhs.T).T
-        return out
+        rhs = u + (dt / 2) * Lu
+        rhs += dt * expl
+        # rhs is C-ordered, so rhs.T is Fortran-ordered and solved in place
+        out = dgbtrs(self._lu, self._lo, self._up, rhs.T, self._piv, overwrite_b=1)[0]
+        return out.T
 
 
 def make_stepper(system, dt):
@@ -264,13 +279,21 @@ def _stepper(system, dt):
 
 
 def _step_count(t0, t1, dt):
-    """Full steps plus optional remainder so the walk lands exactly on t1."""
+    """Full steps plus optional remainder so the walk lands exactly on t1.
+
+    A span within rounding of a whole number of steps is walked as whole
+    steps.  The span ``t1 - t0`` carries the rounding of t0 and t1, of order
+    eps*max(|t0|, |t1|), so the tolerance on ``span / dt`` scales with
+    ``max(|t0|, |t1|) / dt`` as well as with the ratio; from t0 = 0 the two
+    are the same.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     span = t1 - t0
     ratio = span / dt
     n = round(ratio)
-    if abs(ratio - n) <= 4 * np.finfo(float).eps * max(1.0, abs(ratio)):
+    scale = max(1.0, abs(ratio), max(abs(t0), abs(t1)) / dt)
+    if abs(ratio - n) <= 4 * np.finfo(float).eps * scale:
         return int(n), 0.0
     n = int(np.floor(ratio))
     return n, span - n * dt

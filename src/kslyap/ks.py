@@ -179,25 +179,41 @@ class OddPeriodicFDModel:
         d4[n - 1, n - 1] += -1.0 / h**4
         return sp.csr_matrix(-(d4.tocsr() + d2))
 
-    def _extend(self, u):
-        """Append boundary zeros and odd-reflection ghosts; u is (batch, n)."""
-        b, n = u.shape
-        z = np.zeros((b, n + 4))
+    def rhs(self, t, state):
+        """-u_xxxx - u_xx - (u^2/2)_x by the ghost-point stencils.
+
+        The state is extended to ``z`` with the boundary zeros and the odd
+        ghosts ``u_{-1} = -u_1``, ``u_{n+2} = -u_n``; then, in this order of
+        operations, ``u_xx = (z[i-1] - 2 z[i] + z[i+1]) / h**2``,
+        ``u_xxxx = (z[i-2] - 4 z[i-1] + 6 z[i] - 4 z[i+1] + z[i+2]) / h**4``
+        and ``flux_x = (z[i+1]**2 - z[i-1]**2) / (4 h)``, each summed and
+        divided in place.
+        """
+        u = np.atleast_2d(state)
+        n, h = self.n, self.h
+        z = np.empty((u.shape[0], n + 4))
+        z[:, 1] = 0.0
+        z[:, n + 2] = 0.0
         z[:, 2 : n + 2] = u
         z[:, 0] = -u[:, 0]
         z[:, n + 3] = -u[:, n - 1]
-        return z
-
-    def rhs(self, t, state):
-        u = np.atleast_2d(state)
-        n, h = self.n, self.h
-        z = self._extend(u)
-        u_xx = (z[:, 1 : n + 1] - 2 * z[:, 2 : n + 2] + z[:, 3 : n + 3]) / h**2
-        u_xxxx = (z[:, 0:n] - 4 * z[:, 1 : n + 1] + 6 * z[:, 2 : n + 2]
-                  - 4 * z[:, 3 : n + 3] + z[:, 4 : n + 4]) / h**4
-        sq = z * z
-        flux_x = (sq[:, 3 : n + 3] - sq[:, 1 : n + 1]) / (4 * h)
-        out = -u_xxxx - u_xx - flux_x
+        left, mid, right = z[:, 1 : n + 1], z[:, 2 : n + 2], z[:, 3 : n + 3]
+        u_xx = 2 * mid
+        np.subtract(left, u_xx, out=u_xx)
+        u_xx += right
+        u_xx /= h**2
+        u_xxxx = 4 * left
+        np.subtract(z[:, 0:n], u_xxxx, out=u_xxxx)
+        u_xxxx += 6 * mid
+        u_xxxx -= 4 * right
+        u_xxxx += z[:, 4 : n + 4]
+        u_xxxx /= h**4
+        sq = z[:, 1 : n + 3] * z[:, 1 : n + 3]
+        flux_x = sq[:, 2:] - sq[:, :n]
+        flux_x /= 4 * h
+        out = np.negative(u_xxxx, out=u_xxxx)
+        out -= u_xx
+        out -= flux_x
         return out[0] if np.ndim(state) == 1 else out
 
     def sine_frame(self, m):

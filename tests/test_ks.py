@@ -242,3 +242,33 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
         assert np.array_equal(u, before)
         for row, state in zip(got, u):
             assert row.tobytes() == stepper.step(t, state[None, :])[0].tobytes()
+
+
+def _stencil_rhs(model, state):
+    """The odd RHS by its stencil formula, each term a new array: extend with
+    the boundary zeros and odd ghosts, then -u_xxxx - u_xx - (u^2/2)_x."""
+    n, h = model.n, model.h
+    z = np.zeros((state.shape[0], n + 4))
+    z[:, 2 : n + 2] = state
+    z[:, 0] = -state[:, 0]
+    z[:, n + 3] = -state[:, n - 1]
+    u_xx = (z[:, 1 : n + 1] - 2 * z[:, 2 : n + 2] + z[:, 3 : n + 3]) / h**2
+    u_xxxx = (z[:, 0:n] - 4 * z[:, 1 : n + 1] + 6 * z[:, 2 : n + 2]
+              - 4 * z[:, 3 : n + 3] + z[:, 4 : n + 4]) / h**4
+    sq = z * z
+    flux_x = (sq[:, 3 : n + 3] - sq[:, 1 : n + 1]) / (4 * h)
+    return -u_xxxx - u_xx - flux_x
+
+
+@pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
+def test_odd_rhs_matches_the_stencil_formula(L):
+    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    rng = np.random.default_rng(int(10 * L))
+    for rows in (1, 13, 25):
+        block = rng.standard_normal((rows, model.dim))
+        before = block.copy()
+        got = model.rhs(0.0, block)
+        assert np.array_equal(got, _stencil_rhs(model, block))
+        assert np.array_equal(block, before)
+        for row, state in zip(got, block):
+            assert row.tobytes() == model.rhs(0.0, state).tobytes()

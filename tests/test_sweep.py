@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,16 +39,16 @@ def test_run_sweep_produces_one_record_per_point(tmp_path):
     assert [r.L for r in records] == [10.0, 11.0, 12.0]
     assert all(r.bc == "periodic" for r in records)
     assert all(np.all(np.diff(r.exponents) <= 0) for r in records)
-    meta = json.load(open(plan.output_path + ".meta.json"))
+    meta = json.loads(Path(plan.output_path + ".meta.json").read_text())
     assert meta["fingerprint"] == plan.fingerprint()
 
 
 def test_rerun_is_byte_identical(tmp_path):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
-    first = open(plan.output_path, "rb").read()
+    first = Path(plan.output_path).read_bytes()
     run_sweep(plan)
-    assert open(plan.output_path, "rb").read() == first
+    assert Path(plan.output_path).read_bytes() == first
 
 
 def test_point_seeds_are_deterministic_and_distinct(tmp_path):
@@ -62,7 +63,7 @@ def test_point_seeds_are_deterministic_and_distinct(tmp_path):
 def test_resume_computes_only_missing_points(tmp_path):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
-    reference = open(plan.output_path).read()
+    reference = Path(plan.output_path).read_text()
     # drop the middle row to simulate an interrupted sweep
     lines = reference.strip().split("\n")
     kept = [ln for ln in lines if not ln.startswith("11,")]
@@ -71,7 +72,7 @@ def test_resume_computes_only_missing_points(tmp_path):
         fh.write("\n".join(kept) + "\n")
     records = run_sweep(plan)
     assert len(records) == 3
-    assert open(plan.output_path).read() == reference
+    assert Path(plan.output_path).read_text() == reference
 
 
 @pytest.mark.parametrize("cell", [2, 7])
@@ -96,9 +97,9 @@ def test_resume_recomputes_a_torn_last_row(tmp_path, cell):
 def test_resume_with_nothing_missing_leaves_file_alone(tmp_path):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
-    before = open(plan.output_path, "rb").read()
+    before = Path(plan.output_path).read_bytes()
     run_sweep(plan)
-    assert open(plan.output_path, "rb").read() == before
+    assert Path(plan.output_path).read_bytes() == before
 
 
 @pytest.mark.parametrize("change", ["epsilon", "dt", "k_max", "numerics"])
@@ -159,8 +160,7 @@ def test_worker_count_does_not_change_output(tmp_path):
     b = tiny_plan(tmp_path, name="b.csv", workers=2)
     run_sweep(a)
     run_sweep(b)
-    strip = lambda p: open(p).read()
-    assert strip(a.output_path) == strip(b.output_path)
+    assert Path(a.output_path).read_text() == Path(b.output_path).read_text()
 
 
 def test_read_records_checks_dky_consistency(tmp_path):
@@ -170,7 +170,7 @@ def test_read_records_checks_dky_consistency(tmp_path):
     for rec in records:
         assert abs(kaplan_yorke(rec.exponents).dimension - rec.dky) <= 1e-9
     # corrupt one dky on disk
-    text = open(plan.output_path).read().split("\n")
+    text = Path(plan.output_path).read_text().split("\n")
     for i, ln in enumerate(text):
         if ln.startswith("10,"):
             cells = ln.split(",")
