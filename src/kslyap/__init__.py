@@ -2,7 +2,7 @@
 equation on periodic and odd-periodic domains."""
 
 from .dynamics import (DynamicalSystem, diagonal_linear_system, initial_state,
-                       integrate, jacobian_trace_average, lorenz_system)
+                       integrate, lorenz_system)
 from .errors import (DegenerateDivisor, EmptyWindow, FingerprintMismatch,
                      InsufficientData, IntegrationBlowUp, KslyapError,
                      NonFiniteColumn, RankDeficient, ResolutionTooCoarse,

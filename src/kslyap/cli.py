@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_system
-from .errors import KslyapError
+from .errors import IntegrationBlowUp, KslyapError
 from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
 from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
@@ -90,11 +90,14 @@ def cmd_simulate(args):
     x, _ = model.to_physical(state)
     lines = _meta_lines("simulate", cfg)
     lines.append("t," + ",".join(_g17(v) for v in x))
-    t_prev = 0.0
-    for t in times:
-        if t > 0:
-            state = integrate(system, state, t_prev, t, dt)
-            t_prev = t
+    for i, t in enumerate(times):
+        if i:
+            # the system is autonomous: every interval is walked from 0, so
+            # each one takes the same steps (and the same remainder stepper)
+            try:
+                state = integrate(system, state, 0.0, dt_out, dt)
+            except IntegrationBlowUp as exc:
+                raise IntegrationBlowUp(times[i - 1] + exc.time) from None
         _, u = model.to_physical(state)
         lines.append(_g17(t) + "," + ",".join(_g17(v) for v in u))
     with open(cfg["out"], "w") as fh:

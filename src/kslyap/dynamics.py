@@ -7,23 +7,19 @@ right-hand sides, which lets callers propagate many trajectories in lockstep
 (used heavily by the Lyapunov engine).
 
 The system determines its fixed-step scheme (:func:`make_stepper`) from the
-stiff linear operator it declares:
+stiff linear operator it declares, a diagonal ``stiff_linear_part``:
 
-* ``stiff_linear_matrix`` (sparse, banded) -- IMEX-CNAB2: Crank-Nicolson on
-  the linear part, Adams-Bashforth-2 on the rest; the banded Crank-Nicolson
-  matrix is LU-factored once per stepper (LAPACK ``dgbtrf``) and each step
-  is one product with the matrix and one banded solve (``dgbtrs``);
-* ``stiff_linear_part`` (a diagonal)       -- ETDRK4: exponential time
-  differencing RK4 (Cox-Matthews, with the Kassam-Trefethen contour
-  evaluation of the phi-function coefficients);
-* neither                                  -- classic explicit RK4, for
-  non-stiff systems.
+* with ``crank_nicolson`` -- IMEX-CNAB2: Crank-Nicolson on the diagonal
+  linear part, Adams-Bashforth-2 on the rest, each step a diagonal update;
+* without                 -- ETDRK4: exponential time differencing RK4
+  (Cox-Matthews, with the Kassam-Trefethen contour evaluation of the
+  phi-function coefficients);
+* no stiff part           -- classic explicit RK4, for non-stiff systems.
 
-A system builds each stepper once: :func:`integrate` and
-:func:`jacobian_trace_average` take the stepper of their step ``dt`` from a
-cache on the system, one stepper per step size, and call
-:func:`make_stepper` only on a miss.  Every walk restarts the stepper it
-takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
+A system builds each stepper once: :func:`integrate` takes the stepper of
+its step ``dt`` from a cache on the system, one stepper per step size, and
+calls :func:`make_stepper` only on a miss.  Every walk restarts the stepper
+it takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
 the explicit part, as a newly built stepper does; results do not depend on
 what the system integrated before.
 """
@@ -32,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import IntegrationBlowUp
 
@@ -45,16 +39,11 @@ BLOWUP_NORM = 1e6
 class DynamicalSystem:
     """An autonomous ODE  du/dt = rhs(t, u)  on R^dim.
 
-    A system with a stiff linear operator declares it, and that declaration
-    picks its integrator (see :func:`make_stepper`): ``stiff_linear_part``,
-    the operator's diagonal, for one that is diagonal (ETDRK4), or
-    ``stiff_linear_matrix``, a sparse matrix, for one that is banded
-    (IMEX-CNAB2).  A system that declares neither is run with RK4.
-
-    ``initial_frame(m)`` returns the orthonormal ``(dim, m)`` frame a
-    Lyapunov computation starts from.  Systems may supply ``frame_factory``
-    (a callable ``m -> (dim, m)`` array) for a basis suited to their
-    coordinates; otherwise the frame is the first m coordinate vectors.
+    A system with a stiff linear operator declares its diagonal,
+    ``stiff_linear_part``, and that declaration picks its integrator (see
+    :func:`make_stepper`): ETDRK4, or IMEX-CNAB2 when the system sets
+    ``crank_nicolson``.  A system that declares no stiff part is run with
+    RK4.
 
     ``rhs`` must return a new array: the ETDRK4 and IMEX-CNAB2 steppers
     update it in place.
@@ -67,8 +56,7 @@ class DynamicalSystem:
     rhs: Callable
     stiff_linear_part: Optional[np.ndarray] = None
     label: str = ""
-    stiff_linear_matrix: Optional[sp.spmatrix] = None
-    frame_factory: Optional[Callable] = None
+    crank_nicolson: bool = False
     _steppers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -79,12 +67,8 @@ class DynamicalSystem:
             self.stiff_linear_part = np.asarray(self.stiff_linear_part, dtype=float)
             if self.stiff_linear_part.shape != (self.dim,):
                 raise ValueError("stiff_linear_part must have shape (dim,)")
-
-    def initial_frame(self, m):
-        """Orthonormal (dim, m) starting frame for the Lyapunov computation."""
-        if self.frame_factory is None:
-            return np.eye(self.dim)[:, :m]
-        return self.frame_factory(m)
+        elif self.crank_nicolson:
+            raise ValueError("crank_nicolson needs a stiff_linear_part")
 
     def rhs_batch(self, t, states):
         """Evaluate the RHS for a (batch, dim) block of states."""
@@ -194,77 +178,54 @@ class _ETDRK4Stepper(_Stepper):
         return out
 
 
-def _sparse_to_banded(mat):
-    """Extract (ab, l, u): the matrix in LAPACK band storage with ``l`` extra
-    leading rows for the fill-in of a partial-pivoting LU, as ``dgbtrf``
-    takes it (``ab[l + u + r - c, c] = mat[r, c]``)."""
-    mat = sp.csr_matrix(mat)
-    n = mat.shape[0]
-    coo = mat.tocoo()
-    offsets = coo.col - coo.row
-    lo = int(max(0, -offsets.min(initial=0)))
-    up = int(max(0, offsets.max(initial=0)))
-    ab = np.zeros((2 * lo + up + 1, n))
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        ab[lo + up + r - c, c] = v
-    return ab, lo, up
-
-
 class _IMEXCNAB2Stepper(_Stepper):
-    """Crank-Nicolson (linear) / Adams-Bashforth-2 (remainder).
+    """Crank-Nicolson (diagonal linear part) / Adams-Bashforth-2 (remainder).
 
-    The implicit linear operator is the sparse ``stiff_linear_matrix``.  The
-    banded matrix ``I - dt/2 L`` is LU-factored once, here, by LAPACK
-    ``dgbtrf``; each step takes one product ``L u``, shared by the nonlinear
-    term and the Crank-Nicolson right-hand side, and one banded solve
-    ``dgbtrs`` in place.  ``dgbsv`` (``scipy.linalg.solve_banded``) is these
-    two calls, so the result has the same bits as solving afresh each step.
-    The first step after construction or ``restart`` uses explicit Euler for
-    the nonlinear term.
+    With the linear part a diagonal ``lam``, a step is the elementwise
+    update ``u' = (1 + dt/2 lam) u + dt E  over  1 - dt/2 lam``, with the
+    explicit term ``E = 3/2 N(u) - 1/2 N(u_prev)`` and N(v) = f(v) - lam v.
+    The first step after construction or ``restart`` uses explicit Euler,
+    ``E = N(u)``.
     """
 
     def __init__(self, system, dt):
+        lam = system.stiff_linear_part
         self.f = system.rhs_batch
+        self.lam = lam
         self.dt = dt
+        self.gain = 1 + (dt / 2) * lam
+        self.inv = 1 / (1 - (dt / 2) * lam)
         self.restart()
-        self.L = sp.csr_matrix(system.stiff_linear_matrix)
-        n = self.L.shape[0]
-        lhs = sp.eye(n) - (dt / 2) * self.L
-        ab, self._lo, self._up = _sparse_to_banded(lhs)
-        self._lu, self._piv, info = dgbtrf(ab, self._lo, self._up)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"dgbtrf failed on I - dt/2 L (info={info}) at dt={dt:g}")
 
     def restart(self):
         self._nl_prev = None
 
     def step(self, t, u):
         dt = self.dt
-        Lu = (self.L @ u.T).T
         nl = self.f(t, u)
-        nl -= Lu
+        nl -= self.lam * u
         if self._nl_prev is None:
-            expl = nl
+            expl = nl * dt
         else:
-            expl = 1.5 * nl - 0.5 * self._nl_prev
+            expl = 1.5 * nl
+            expl -= 0.5 * self._nl_prev
+            expl *= dt
         self._nl_prev = nl
-        rhs = u + (dt / 2) * Lu
-        rhs += dt * expl
-        # rhs is C-ordered, so rhs.T is Fortran-ordered and solved in place
-        out = dgbtrs(self._lu, self._lo, self._up, rhs.T, self._piv, overwrite_b=1)[0]
-        return out.T
+        out = self.gain * u
+        out += expl
+        out *= self.inv
+        return out
 
 
 def make_stepper(system, dt):
     """The stepper of step ``dt`` for the scheme the system's stiff linear
-    operator calls for: IMEX-CNAB2 for a matrix, ETDRK4 for a diagonal, RK4
-    for none."""
-    if system.stiff_linear_matrix is not None:
+    operator calls for: IMEX-CNAB2 for a diagonal with ``crank_nicolson``,
+    ETDRK4 for one without, RK4 for none."""
+    if system.stiff_linear_part is None:
+        return _RK4Stepper(system, dt)
+    if system.crank_nicolson:
         return _IMEXCNAB2Stepper(system, dt)
-    if system.stiff_linear_part is not None:
-        return _ETDRK4Stepper(system, dt)
-    return _RK4Stepper(system, dt)
+    return _ETDRK4Stepper(system, dt)
 
 
 def _stepper(system, dt):
@@ -327,38 +288,6 @@ def integrate(system, u0, t0, t1, dt):
         u = _stepper(system, remainder).step(t, u)
         _check_finite(u, t1)
     return u[0] if single else u
-
-
-def divergence(system, t, u, fd_step=1e-6):
-    """Divergence of the flow field at u, by central finite differences."""
-    n = system.dim
-    eye = np.eye(n)
-    block = np.concatenate([u + fd_step * eye, u - fd_step * eye])
-    f = system.rhs_batch(t, block)
-    return float(np.trace(f[:n] - f[n:]) / (2 * fd_step))
-
-
-def jacobian_trace_average(system, u0, horizon, dt):
-    """Time-averaged divergence of the flow along the trajectory from u0.
-
-    Equals the sum of all Lyapunov exponents (useful as a validation oracle).
-    The divergence is sampled at the start of every time step and averaged.
-    """
-    u = np.asarray(u0, dtype=float)
-    n_steps, remainder = _step_count(0.0, horizon, dt)
-    stepper = _stepper(system, dt)
-    samples = []
-    t = 0.0
-    for _ in range(n_steps):
-        samples.append(divergence(system, t, u))
-        u = stepper.step(t, u[None, :])[0]
-        t += dt
-        _check_finite(u, t)
-    if remainder > 0:
-        samples.append(divergence(system, t, u))
-    if not samples:
-        samples.append(divergence(system, 0.0, u))
-    return float(np.mean(samples))
 
 
 def lorenz_system(sigma=10.0, rho=28.0, beta=8.0 / 3.0):

@@ -14,20 +14,22 @@ Two discretizations are provided for the two boundary conditions:
 * odd-periodic  -- second-order central finite differences on the interior
                    grid, with u = u_xx = 0 at both ends enforced by
                    odd-reflection ghost points.  The nonlinearity is the
-                   conservative form (u^2/2)_x.
+                   conservative form (u^2/2)_x.  The state is the grid
+                   field's orthonormal DST-I coefficients, in which the
+                   ghost-point operator ``-(D4 + D2) = -(D2^2 + D2)`` is
+                   diagonal.
 
 Both models resolve wavenumbers up to at least ``k_max_target`` (default 9).
-Each model's system declares its stiff linear operator, which picks its
-integrator (``dynamics.make_stepper``): the periodic model's diagonal
-``k^2 - k^4`` runs with ETDRK4, the odd model's banded finite-difference
-matrix with IMEX-CNAB2.
+Each model's system declares the diagonal of its stiff linear operator,
+which picks its integrator (``dynamics.make_stepper``): the periodic
+model's ``k^2 - k^4`` runs with ETDRK4, the odd model's finite-difference
+eigenvalues with IMEX-CNAB2 (``crank_nicolson``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import next_fast_len
+from scipy.fft import dst, next_fast_len
 
 from .dynamics import DynamicalSystem
 from .errors import ResolutionTooCoarse
@@ -146,10 +148,19 @@ class PeriodicSpectralModel:
 
 
 class OddPeriodicFDModel:
-    """Finite-difference machinery for the odd-periodic case.
+    """Finite-difference machinery for the odd-periodic case, in sine
+    coordinates.
 
-    Interior grid x_i = i*h, i = 1..n, h = L/(n+1); boundary values and
-    odd reflections handled through ghost points.
+    Interior grid x_i = i*h, i = 1..n, h = L/(n+1); boundary values and odd
+    reflections handled through ghost points.  The state ``a`` holds the
+    orthonormal DST-I coefficients of the grid field, ``u = dst(a)``, where
+    ``dst`` is ``scipy.fft.dst(type=1, norm="ortho")``, its own inverse.
+    Coordinate j is the sine mode sin(j*pi*x/L) on the grid, an eigenvector
+    of the ghost-point operator ``-(D4 + D2)`` with the eigenvalue
+    ``-(mu_j**2 + mu_j)``, where ``mu_j = -(4/h**2) sin(j*pi/(2(n+1)))**2`` is
+    the eigenvalue of the second difference D2 (Strang, SIAM Review 1999).
+    So the first m coordinate vectors, from which every Lyapunov frame
+    starts, are the m lowest sine modes.
     """
 
     def __init__(self, spec, n_interior=None):
@@ -167,80 +178,41 @@ class OddPeriodicFDModel:
                 f"h={self.h:g} > pi/k_max={np.pi / spec.k_max_target:g}")
         self.dim = n_interior
         self.x = self.h * np.arange(1, n_interior + 1)
-        self.linear_matrix = self._build_linear_matrix()
-
-    def _build_linear_matrix(self):
-        n, h = self.n, self.h
-        d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
-        d4 = sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2],
-                      shape=(n, n), format="lil") / h**4
-        # odd reflection through the boundary: u_{-1} = -u_1, u_{n+2} = -u_n
-        d4[0, 0] += -1.0 / h**4
-        d4[n - 1, n - 1] += -1.0 / h**4
-        return sp.csr_matrix(-(d4.tocsr() + d2))
+        j = np.arange(1, n_interior + 1)
+        mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n_interior + 1)))**2
+        self.stiff_linear_part = -(mu * mu + mu)
 
     def rhs(self, t, state):
-        """-u_xxxx - u_xx - (u^2/2)_x by the ghost-point stencils.
+        """lam a - dst((u^2/2)_x) with u = dst(a), the sine coefficients of
+        the ghost-point stencils' -u_xxxx - u_xx - (u^2/2)_x.
 
-        The state is extended to ``z`` with the boundary zeros and the odd
-        ghosts ``u_{-1} = -u_1``, ``u_{n+2} = -u_n``; then, in this order of
-        operations, ``u_xx = (z[i-1] - 2 z[i] + z[i+1]) / h**2``,
-        ``u_xxxx = (z[i-2] - 4 z[i-1] + 6 z[i] - 4 z[i+1] + z[i+2]) / h**4``
-        and ``flux_x = (z[i+1]**2 - z[i-1]**2) / (4 h)``, each summed and
-        divided in place.
+        In this order of operations: ``sq = dst(a)**2`` in place; the flux
+        ``(sq[i+1] - sq[i-1]) / (4 h)``, where the boundary zeros stand in
+        for the neighbours of the end points; then ``lam * a - dst(flux)``.
         """
-        u = np.atleast_2d(state)
-        n, h = self.n, self.h
-        z = np.empty((u.shape[0], n + 4))
-        z[:, 1] = 0.0
-        z[:, n + 2] = 0.0
-        z[:, 2 : n + 2] = u
-        z[:, 0] = -u[:, 0]
-        z[:, n + 3] = -u[:, n - 1]
-        left, mid, right = z[:, 1 : n + 1], z[:, 2 : n + 2], z[:, 3 : n + 3]
-        u_xx = 2 * mid
-        np.subtract(left, u_xx, out=u_xx)
-        u_xx += right
-        u_xx /= h**2
-        u_xxxx = 4 * left
-        np.subtract(z[:, 0:n], u_xxxx, out=u_xxxx)
-        u_xxxx += 6 * mid
-        u_xxxx -= 4 * right
-        u_xxxx += z[:, 4 : n + 4]
-        u_xxxx /= h**4
-        sq = z[:, 1 : n + 3] * z[:, 1 : n + 3]
-        flux_x = sq[:, 2:] - sq[:, :n]
-        flux_x /= 4 * h
-        out = np.negative(u_xxxx, out=u_xxxx)
-        out -= u_xx
-        out -= flux_x
+        a = np.atleast_2d(state)
+        n = self.n
+        sq = dst(a, type=1, norm="ortho")
+        sq *= sq
+        flux = np.empty_like(sq)
+        flux[:, 1 : n - 1] = sq[:, 2:] - sq[:, : n - 2]
+        flux[:, 0] = sq[:, 1]
+        flux[:, n - 1] = -sq[:, n - 2]
+        flux /= 4 * self.h
+        out = self.stiff_linear_part * a
+        out -= dst(flux, type=1, norm="ortho", overwrite_x=True)
         return out[0] if np.ndim(state) == 1 else out
-
-    def sine_frame(self, m):
-        """The m lowest orthonormal DST-I vectors, sin(j*pi*x_i/L) for j = 1..m.
-
-        These are the grid's counterparts of the periodic model's Fourier
-        coordinates (and eigenvectors of the linear operator), so a Lyapunov
-        frame started from them spreads over the domain from the first
-        interval.  Single-point perturbations next to the x=0 wall would
-        instead be nearly collinear after one interval.
-        """
-        if not 0 < m <= self.n:
-            raise ValueError(f"m={m} must be in 1..{self.n}")
-        j = np.arange(1, m + 1)
-        i = np.arange(1, self.n + 1)
-        return np.sqrt(2.0 / (self.n + 1)) * np.sin(np.pi * np.outer(i, j) / (self.n + 1))
 
     def to_physical(self, state):
         """Full field including the boundary zeros; returns (x, u)."""
-        u = np.asarray(state, dtype=float)
+        u = dst(np.asarray(state, dtype=float), type=1, norm="ortho")
         x = self.h * np.arange(self.n + 2)
         return x, np.concatenate([[0.0], u, [0.0]])
 
     def build_system(self):
         return DynamicalSystem(
-            dim=self.dim, rhs=self.rhs, stiff_linear_matrix=self.linear_matrix,
-            frame_factory=self.sine_frame, label=f"ks-odd(L={self.L:g},n={self.n})")
+            dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
+            crank_nicolson=True, label=f"ks-odd(L={self.L:g},n={self.n})")
 
 
 def make_model(spec, **kwargs):

@@ -117,10 +117,10 @@ def compute_spectrum(system, cfg, u0=None):
     The initial condition defaults to ``initial_state(dim, cfg.seed)``, a
     standard-normal state; pass ``u0`` to start from a specific state instead.
 
-    The frame starts from ``system.initial_frame(m)``: the first m coordinate
-    vectors unless the system supplies its own basis.  For the periodic KS
-    model the coordinates are Fourier modes; the odd-periodic model starts
-    from its m lowest sine modes (``OddPeriodicFDModel.sine_frame``).  No
+    The frame starts from the first m coordinate vectors.  For the KS
+    models these are the lowest modes: the mean and the real parts of the
+    lowest Fourier modes for the periodic model, and the m lowest sine modes
+    for the odd-periodic one, whose state is in sine coordinates.  No
     interval is discarded after burn-in, so the logs of the first
     reorthonormalization enter the average and a frame that starts far from
     the growing directions biases the exponents.
@@ -131,7 +131,7 @@ def compute_spectrum(system, cfg, u0=None):
         u0 = initial_state(system.dim, cfg.seed)
     t_start = time.perf_counter()
     u = burn_in(system, np.asarray(u0, dtype=float), cfg.tau, cfg.dt)
-    Q = system.initial_frame(cfg.m)
+    Q = np.eye(system.dim)[:, : cfg.m]
     logR = np.empty((cfg.N, cfg.m))
     for j in range(cfg.N):
         try:

@@ -36,9 +36,11 @@ from .lyapunov import LyapunovConfig, compute_spectrum
 #: first the scheme its system is integrated with (``dynamics.make_stepper``
 #: picks it from the system), then the revisions since the first release.
 #: Odd-periodic spectra start from sine modes instead of grid-point
-#: perturbations.
+#: perturbations, and the odd model steps in its sine (DST-I) coordinates,
+#: the same map with other rounding.
 NUMERICS = {PERIODIC: {"scheme": "etdrk4"},
-            ODD_PERIODIC: {"scheme": "imex_cnab2", "initial_frame": "sine"}}
+            ODD_PERIODIC: {"scheme": "imex_cnab2", "initial_frame": "sine",
+                           "coordinates": "dst1"}}
 
 #: Records with leading exponent below this are flagged non-chaotic.
 NONCHAOTIC_THRESHOLD = 0.005

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kslyap import kaplan_yorke
+from kslyap import IntegrationBlowUp, cli, kaplan_yorke
 from kslyap.cli import main
 
 
@@ -45,6 +45,24 @@ def test_simulate_row_count_and_grid(tmp_path, capsys):
     assert x[0] == 0.0 and x[-1] < 22.0
     times = [float(ln.split(",")[0]) for ln in data[1:]]
     assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
+    # each output interval is walked from t = 0; a blow-up in the third one,
+    # 0.25 into it, is reported at t = 2.25
+    walks = []
+
+    def blow_up(system, state, t0, t1, dt):
+        walks.append((t0, t1))
+        if len(walks) == 3:
+            raise IntegrationBlowUp(0.25)
+        return state
+
+    monkeypatch.setattr(cli, "integrate", blow_up)
+    code, _, err = run(["simulate", "--L", "22", "--t-end", "5", "--dt-out", "1",
+                        "--out", str(tmp_path / "sim.csv")], capsys)
+    assert code == 1 and "t=2.25" in err
+    assert set(walks) == {(0.0, 1.0)}
 
 
 def test_lyap_oracle_diaglin(tmp_path, capsys):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
 
 from kslyap import (DomainSpec, DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
                     compute_spectrum, diagonal_linear_system, initial_state, integrate,
-                    jacobian_trace_average, lorenz_system, make_model)
+                    lorenz_system, make_model)
 from kslyap import cli, dynamics
 from kslyap.dynamics import (BLOWUP_NORM, _ETDRK4Stepper, _IMEXCNAB2Stepper,
                              _RK4Stepper, _step_count, make_stepper)
 from kslyap.sweep import NUMERICS
+from odd_fd_reference import SolveBandedCNAB2, to_grid
 
 
 def constant_system(value=0.0, dim=1):
@@ -96,11 +95,11 @@ def test_blow_up_carries_time():
 
 
 # every scheme: RK4 (no stiff operator), ETDRK4 (a diagonal one) and
-# IMEX-CNAB2 (a banded matrix)
+# IMEX-CNAB2 (a diagonal one with Crank-Nicolson)
 STIFF_OPERATORS = {"rk4": {},
                    "etdrk4": {"stiff_linear_part": np.array([-1.0, -2.0])},
-                   "imex_cnab2": {"stiff_linear_matrix": sp.diags(
-                       [[0.5], [-1.0, -2.0], [0.5]], [-1, 0, 1], format="csr")}}
+                   "imex_cnab2": {"stiff_linear_part": np.array([-1.0, -2.0]),
+                                  "crank_nicolson": True}}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
@@ -153,19 +152,22 @@ def test_simulate_walks_no_remainder_step(tmp_path, monkeypatch, capsys):
     assert len(walks) == 1667 and set(walks) == {(6, 0.0)}
 
 
-def test_trace_average_constant_jacobian():
-    got = jacobian_trace_average(diagonal_linear_system([-1.0]), np.array([2.0]), 3.0, DT)
-    assert abs(got - (-1.0)) < 1e-6
+def test_simulate_builds_one_remainder_stepper(tmp_path, monkeypatch, capsys):
+    # `--dt-out 0.33` walks each output interval as six steps and a remainder
+    # of about 0.03; every interval is walked from t = 0, so the remainder is
+    # the same float each time and its stepper is built once
+    built = []
 
+    def counting(system, dt):
+        built.append(dt)
+        return make_stepper(system, dt)
 
-def test_trace_average_zero_field():
-    got = jacobian_trace_average(constant_system(dim=2), np.array([1.0, -1.0]), 2.0, DT)
-    assert got == pytest.approx(0.0, abs=1e-12)
-
-
-def test_trace_average_lorenz():
-    got = jacobian_trace_average(lorenz_system(), np.array([1.0, 1.0, 1.0]), 10.0, DT)
-    assert abs(got - (-41.0 / 3.0)) < 1e-2
+    monkeypatch.setattr(dynamics, "make_stepper", counting)
+    assert cli.main(["simulate", "--bc", "odd", "--L", "22", "--dt", "0.05",
+                     "--dt-out", "0.33", "--t-end", "500",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+    assert len(built) == 2 and built[0] == 0.05
+    assert built[1] == pytest.approx(0.03)
 
 
 def test_config_validation():
@@ -173,8 +175,8 @@ def test_config_validation():
     for dt in (0.0, -0.1):
         with pytest.raises(ValueError):
             integrate(system, np.ones(3), 0.0, 1.0, dt)
-        with pytest.raises(ValueError):
-            jacobian_trace_average(system, np.ones(3), 1.0, dt)
+    with pytest.raises(ValueError):
+        DynamicalSystem(dim=2, rhs=lambda t, u: u, crank_nicolson=True)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "odd"])
@@ -213,8 +215,7 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     for bc in ("periodic", "odd"):
         system = make_model(DomainSpec(L=22.0, bc=bc)).build_system()
         labels.append(system.label)
-        u = compute_spectrum(system, cfg).final_state
-        jacobian_trace_average(system, u, 0.1, 0.05)
+        compute_spectrum(system, cfg)
     assert built == [(label, 0.05) for label in labels]
 
 
@@ -236,48 +237,25 @@ def test_reused_stepper_restarts_its_history():
             assert got.tobytes() == want.tobytes()
 
 
-class _SolveBandedCNAB2:
-    """IMEX-CNAB2 as it stepped before its matrix was factored once: two
-    sparse products ``L u`` and a fresh ``scipy.linalg.solve_banded`` (LAPACK
-    ``dgbsv``) every step."""
-
-    def __init__(self, system, dt):
-        self.f, self.dt = system.rhs_batch, dt
-        self.L = sp.csr_matrix(system.stiff_linear_matrix)
-        lhs = (sp.eye(self.L.shape[0]) - (dt / 2) * self.L).todia()
-        self.lu = (-int(lhs.offsets.min()), int(lhs.offsets.max()))
-        self.ab = np.zeros((sum(self.lu) + 1, self.L.shape[0]))
-        for offset, diagonal in zip(lhs.offsets, lhs.data):
-            self.ab[self.lu[1] - offset] = diagonal
-        self.restart()
-
-    def restart(self):
-        self.nl_prev = None
-
-    def step(self, t, u):
-        dt = self.dt
-        nl = self.f(t, u) - (self.L @ u.T).T
-        expl = nl if self.nl_prev is None else 1.5 * nl - 0.5 * self.nl_prev
-        self.nl_prev = nl
-        rhs = u + (dt / 2) * (self.L @ u.T).T + dt * expl
-        return solve_banded(self.lu, self.ab, rhs.T).T
-
-
 @pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
 def test_cnab2_step_matches_the_solve_banded_reference(L):
-    system = make_model(DomainSpec(L=L, bc="odd")).build_system()
-    stepper, reference = _IMEXCNAB2Stepper(system, 0.05), _SolveBandedCNAB2(system, 0.05)
-    assert (stepper._lo, stepper._up) == reference.lu == (2, 2)
+    # the diagonal step in sine coordinates, mapped to the grid, takes the
+    # finite-difference step with a banded Crank-Nicolson solve: 40 steps
+    # from the Euler step on, twice, with a restart in between
+    model = make_model(DomainSpec(L=L, bc="odd"))
+    stepper = make_stepper(model.build_system(), 0.05)
+    reference = SolveBandedCNAB2(model, 0.05)
+    assert type(stepper) is _IMEXCNAB2Stepper
     rng = np.random.default_rng(int(10 * L))
-    for rows in (1, 13, 25):
-        u = rng.standard_normal((rows, system.dim))
-        for restart in range(2):
+    for rows in (1, 25):
+        u = rng.standard_normal((rows, model.dim))
+        a = to_grid(u)
+        for _ in range(2):
             stepper.restart()
             reference.restart()
-            # the Euler step, then Adams-Bashforth-2 steps
-            for k in range(4):
-                before = u.copy()
-                got, want = stepper.step(0.05 * k, u), reference.step(0.05 * k, u)
-                assert np.array_equal(got, want)
-                assert np.array_equal(u, before)
-                u = got
+            for k in range(40):
+                before = a.copy()
+                got = stepper.step(0.05 * k, a)
+                assert np.array_equal(a, before)
+                a, u = got, reference.step(0.05 * k, u)
+                assert np.max(np.abs(to_grid(a) - u)) <= 1e-12 * np.max(np.abs(u))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, OddPeriodicFDModel,
-                    PeriodicSpectralModel, ResolutionTooCoarse,
+from kslyap import (DomainSpec, LyapunovConfig, OddPeriodicFDModel,
+                    PeriodicSpectralModel, ResolutionTooCoarse, compute_spectrum,
                     diagonal_linear_system, initial_state, integrate, lorenz_system)
-from kslyap.dynamics import _ETDRK4Stepper
+from kslyap import lyapunov
+from kslyap.dynamics import _ETDRK4Stepper, _IMEXCNAB2Stepper
+from odd_fd_reference import linear_matrix, stencil_rhs, to_grid
 
 DT = 0.05
 
@@ -62,7 +64,7 @@ def _sine_mode_rate(n_interior):
     model = OddPeriodicFDModel(DomainSpec(L=2 * np.pi, bc="odd"), n_interior=n_interior)
     amp = 1e-8
     u = amp * np.sin(np.pi * model.x / model.L)
-    return np.mean(model.rhs(0.0, u) / u)
+    return np.mean(to_grid(model.rhs(0.0, to_grid(u))) / u)
 
 
 def test_odd_sine_eigenvalue_second_order():
@@ -72,22 +74,32 @@ def test_odd_sine_eigenvalue_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
-def test_starting_frames():
-    # odd: the m lowest orthonormal sine vectors, eigenvectors of the linear
-    # operator; periodic and oracle systems: the first m coordinate vectors
+def test_starting_frames(monkeypatch):
+    # every system starts from its first m coordinate vectors; on the odd
+    # model's grid these are the m lowest orthonormal sine vectors,
+    # eigenvectors of the finite-difference linear operator
+    frames = []
+
+    def spy(system, u, Q, *args):
+        frames.append(Q.copy())
+        return propagate(system, u, Q, *args)
+
+    propagate = lyapunov.propagate_frame
+    monkeypatch.setattr(lyapunov, "propagate_frame", spy)
     model = OddPeriodicFDModel(DomainSpec(L=41.0, bc="odd"))
-    Q = model.build_system().initial_frame(12)
-    assert Q.shape == (model.n, 12)
+    systems = [(model.build_system(), 12, 0.05),
+               (PeriodicSpectralModel(DomainSpec(L=22.0)).build_system(), 2, 0.05),
+               (lorenz_system(), 2, 0.005),
+               (diagonal_linear_system([0.3, -0.1, -2.0]), 2, 0.01)]
+    for system, m, dt in systems:
+        compute_spectrum(system, LyapunovConfig(m=m, tau=0.0, T=dt, N=1, dt=dt))
+        assert np.array_equal(frames.pop(), np.eye(system.dim)[:, :m])
+    Q = to_grid(np.eye(model.n)[:, :12], axis=0)
     assert np.max(np.abs(Q.T @ Q - np.eye(12))) < 1e-13
     sines = np.sin(np.pi * np.outer(model.x, np.arange(1, 13)) / model.L)
     assert np.allclose(Q, sines / np.linalg.norm(sines, axis=0), rtol=0, atol=1e-14)
-    AQ = model.linear_matrix @ Q
+    AQ = linear_matrix(model) @ Q
     assert np.allclose(AQ, Q * np.sum(Q * AQ, axis=0), rtol=0, atol=1e-9)
-    with pytest.raises(ValueError):
-        model.sine_frame(model.n + 1)
-    for system in (PeriodicSpectralModel(DomainSpec(L=22.0)).build_system(),
-                   lorenz_system(), diagonal_linear_system([0.3, -0.1, -2.0])):
-        assert np.array_equal(system.initial_frame(2), np.eye(system.dim)[:, :2])
 
 
 def test_initial_condition_determinism():
@@ -155,8 +167,8 @@ def test_linear_dispersion_odd(j):
     model = OddPeriodicFDModel(spec)
     k = np.pi * j / model.L
     state = 1e-6 * np.sin(k * model.x)
-    u = integrate(model.build_system(), state, 0.0, 1.0, DT)
-    rate = np.log(np.linalg.norm(u) / np.linalg.norm(state))
+    a = integrate(model.build_system(), to_grid(state), 0.0, 1.0, DT)
+    rate = np.log(np.linalg.norm(to_grid(a)) / np.linalg.norm(state))
     assert rate == pytest.approx(k**2 - k**4, rel=0.01, abs=1e-4)
 
 
@@ -244,20 +256,13 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
             assert row.tobytes() == stepper.step(t, state[None, :])[0].tobytes()
 
 
-def _stencil_rhs(model, state):
-    """The odd RHS by its stencil formula, each term a new array: extend with
-    the boundary zeros and odd ghosts, then -u_xxxx - u_xx - (u^2/2)_x."""
-    n, h = model.n, model.h
-    z = np.zeros((state.shape[0], n + 4))
-    z[:, 2 : n + 2] = state
-    z[:, 0] = -state[:, 0]
-    z[:, n + 3] = -state[:, n - 1]
-    u_xx = (z[:, 1 : n + 1] - 2 * z[:, 2 : n + 2] + z[:, 3 : n + 3]) / h**2
-    u_xxxx = (z[:, 0:n] - 4 * z[:, 1 : n + 1] + 6 * z[:, 2 : n + 2]
-              - 4 * z[:, 3 : n + 3] + z[:, 4 : n + 4]) / h**4
-    sq = z * z
-    flux_x = (sq[:, 3 : n + 3] - sq[:, 1 : n + 1]) / (4 * h)
-    return -u_xxxx - u_xx - flux_x
+@pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
+def test_odd_linear_part_is_the_fd_matrix_in_sine_coordinates(L):
+    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    S = to_grid(np.eye(model.n), axis=0)
+    SAS = S @ (linear_matrix(model) @ S)
+    lam = model.stiff_linear_part
+    assert np.max(np.abs(SAS - np.diag(lam))) <= 1e-11 * np.max(np.abs(lam))
 
 
 @pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
@@ -265,10 +270,42 @@ def test_odd_rhs_matches_the_stencil_formula(L):
     model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
     rng = np.random.default_rng(int(10 * L))
     for rows in (1, 13, 25):
-        block = rng.standard_normal((rows, model.dim))
+        u = rng.standard_normal((rows, model.dim))
+        block = to_grid(u)
         before = block.copy()
         got = model.rhs(0.0, block)
-        assert np.array_equal(got, _stencil_rhs(model, block))
+        want = stencil_rhs(model, u)
+        assert np.max(np.abs(to_grid(got) - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(block, before)
         for row, state in zip(got, block):
             assert row.tobytes() == model.rhs(0.0, state).tobytes()
+
+
+@pytest.mark.parametrize("L", [17.5, 100.0])
+def test_odd_step_matches_the_textbook_expression(L):
+    # bit for bit: the cached odd spectra depend on this order of operations
+    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    system = model.build_system()
+    stepper = _IMEXCNAB2Stepper(system, DT)
+    lam, n, h = model.stiff_linear_part, model.n, model.h
+
+    def f(a):
+        sq = to_grid(a) ** 2
+        zero = np.zeros((a.shape[0], 1))
+        flux = (np.concatenate([sq[:, 1:], zero], axis=1)
+                - np.concatenate([zero, sq[:, :-1]], axis=1)) / (4 * h)
+        return lam * a - to_grid(flux)
+
+    rng = np.random.default_rng(int(10 * L))
+    for rows in (1, 25):
+        a = rng.standard_normal((rows, n))
+        assert np.array_equal(model.rhs(0.0, a), f(a))
+        stepper.restart()
+        n_prev = None
+        for _ in range(3):
+            N = f(a) - lam * a
+            expl = N * DT if n_prev is None else (1.5 * N - 0.5 * n_prev) * DT
+            want = ((1 + DT / 2 * lam) * a + expl) * (1 / (1 - DT / 2 * lam))
+            got = stepper.step(0.0, a)
+            assert np.array_equal(got, want)
+            a, n_prev = got, N
