@@ -8,7 +8,7 @@ from .errors import (DegenerateDivisor, EmptyWindow, FingerprintMismatch,
                      NonFiniteColumn, RankDeficient, ResolutionTooCoarse,
                      SingularNormalEquations)
 from .ks import (DomainSpec, ODD_PERIODIC, OddPeriodicFDModel, PERIODIC,
-                 PeriodicSpectralModel, make_model)
+                 PeriodicSpectralModel, make_model, stack_models)
 from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum,
                        propagate_frame, reorthonormalize,
                        scan_reorthonormalization_interval)
@@ -16,7 +16,7 @@ from .analysis import (KaplanYorkeResult, PowerLawFit, WindowedStat,
                        estimate_j_zero, fit_dky_linear, fit_power_law,
                        kaplan_yorke, mean_abs_deviation, predict_exponent,
                        scan_exponent_p, windowed_median_mad)
-from .sweep import (SpectrumRecord, SweepPlan, compute_point, read_records,
-                    run_sweep)
+from .sweep import (SpectrumRecord, SweepPlan, compute_group, compute_point,
+                    read_records, run_sweep)
 
 __version__ = "0.1.0"

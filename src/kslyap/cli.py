@@ -70,7 +70,10 @@ def _meta_lines(cmd, cfg):
 
 
 def _parse_grid(text):
+    """The points of ``start:step:end``, both ends included."""
     start, step, end = (float(v) for v in text.split(":"))
+    if not step > 0 or not end >= start:
+        raise KslyapError(f"grid {text!r} needs step > 0 and end >= start")
     n = int(round((end - start) / step)) + 1
     return np.round(start + step * np.arange(n), 10)
 
@@ -192,6 +195,7 @@ def cmd_fit(args):
     cfg = _effective(args, ["results", "halfwidth", "p_grid", "L_centers", "out"])
     if not cfg["results"] or not cfg["out"]:
         raise KslyapError("fit requires --results and --out")
+    p_grid = _parse_grid(str(cfg["p_grid"]))
     records = []
     for path in str(cfg["results"]).split(","):
         records.extend(read_records(path))
@@ -208,7 +212,6 @@ def cmd_fit(args):
                 stats.append(analysis.windowed_median_mad(records, c, i, halfwidth))
             except KslyapError:
                 pass
-    p_grid = _parse_grid(str(cfg["p_grid"]))
     p_grid, rms, mad, best_p = analysis.scan_exponent_p(stats, p_grid)
     best_fit = analysis.fit_power_law(stats, best_p)
     unit_fit = analysis.fit_power_law(stats, 1.0)

@@ -2,9 +2,14 @@
 
 A system is described by its dimension and a right-hand-side function
 ``rhs(t, u)``.  States are 1-D real arrays of length ``dim``; ``rhs`` also
-accepts a ``(batch, dim)`` array of states and returns the elementwise
-right-hand sides, which lets callers propagate many trajectories in lockstep
-(used heavily by the Lyapunov engine).
+accepts a ``(batch, dim)`` array of states, or any block with more leading
+axes, and returns the elementwise right-hand sides, which lets callers
+propagate many trajectories in lockstep (used heavily by the Lyapunov
+engine).  A lockstep system of G members (``ks.stack_models``) declares its
+operator with a leading member axis, shape ``(G, 1, dim)``, and steps
+``(G, rows, dim)`` blocks; each stepper builds its coefficients member by
+member with the code of a single system, so every row of a block gets the
+bits it gets alone.
 
 The system determines its fixed-step scheme (:func:`make_stepper`) from the
 stiff linear operator it declares, a diagonal ``stiff_linear_part``:
@@ -45,8 +50,9 @@ class DynamicalSystem:
     ``crank_nicolson``.  A system that declares no stiff part is run with
     RK4.
 
-    ``rhs`` must return a new array: the ETDRK4 and IMEX-CNAB2 steppers
-    update it in place.
+    ``stiff_linear_part`` has shape ``(dim,)``, or ``(G, 1, dim)`` for a
+    lockstep system of G members.  ``rhs`` must return a new array: the
+    ETDRK4 and IMEX-CNAB2 steppers update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
     step size, so its operator fields are not to be changed after the first
     integration.
@@ -65,13 +71,13 @@ class DynamicalSystem:
             raise ValueError("system dimension must be positive")
         if self.stiff_linear_part is not None:
             self.stiff_linear_part = np.asarray(self.stiff_linear_part, dtype=float)
-            if self.stiff_linear_part.shape != (self.dim,):
-                raise ValueError("stiff_linear_part must have shape (dim,)")
+            if self.stiff_linear_part.shape[-1:] != (self.dim,):
+                raise ValueError("stiff_linear_part must have dim entries on its last axis")
         elif self.crank_nicolson:
             raise ValueError("crank_nicolson needs a stiff_linear_part")
 
     def rhs_batch(self, t, states):
-        """Evaluate the RHS for a (batch, dim) block of states."""
+        """Evaluate the RHS for a (..., batch, dim) block of states."""
         return self.rhs(t, np.asarray(states, dtype=float))
 
 
@@ -88,6 +94,18 @@ def _check_finite(u, t):
     # one reduction: NaN fails the comparison, as +-inf and a blow-up do
     if not np.max(np.abs(u)) <= BLOWUP_NORM:
         raise IntegrationBlowUp(t)
+
+
+def _per_member(build, lam):
+    """The coefficient arrays ``build(lam)`` returns for a 1-D ``lam``; for a
+    stacked ``lam`` of shape (..., dim), each member's row is built alone and
+    the results stacked to ``lam``'s shape, so every member gets the bits of
+    its own single build (a contour mean over a stacked ``lam`` rounds
+    differently)."""
+    if lam.ndim == 1:
+        return build(lam)
+    built = [build(row) for row in lam.reshape(-1, lam.shape[-1])]
+    return tuple(np.reshape(np.stack(c), lam.shape) for c in zip(*built))
 
 
 class _Stepper:
@@ -127,18 +145,24 @@ class _ETDRK4Stepper(_Stepper):
         self.f = system.rhs_batch
         self.lam = lam
         self.dt = dt
-        h = dt
-        self.e_full = np.exp(h * lam)
-        self.e_half = np.exp(h * lam / 2)
-        M = self.N_CONTOUR
+        self.e_full, self.e_half, self.q, self.f1, self.f2, self.f3 = _per_member(
+            lambda row: self._coefficients(row, dt), lam)
+        self._2f2 = 2 * self.f2
+
+    @classmethod
+    def _coefficients(cls, lam, h):
+        """E, E/2, Q, f1, f2, f3 of step h for a 1-D diagonal lam."""
+        e_full = np.exp(h * lam)
+        e_half = np.exp(h * lam / 2)
+        M = cls.N_CONTOUR
         r = np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)  # upper/lower symmetric
         lr = h * lam[:, None] + r[None, :]
         elr = np.exp(lr)
-        self.q = h * np.real(np.mean((np.exp(lr / 2) - 1) / lr, axis=1))
-        self.f1 = h * np.real(np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1))
-        self.f2 = h * np.real(np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
-        self.f3 = h * np.real(np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1))
-        self._2f2 = 2 * self.f2
+        q = h * np.real(np.mean((np.exp(lr / 2) - 1) / lr, axis=1))
+        f1 = h * np.real(np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1))
+        f2 = h * np.real(np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
+        f3 = h * np.real(np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1))
+        return e_full, e_half, q, f1, f2, f3
 
     def _nl(self, t, u):
         n = self.f(t, u)
@@ -193,8 +217,8 @@ class _IMEXCNAB2Stepper(_Stepper):
         self.f = system.rhs_batch
         self.lam = lam
         self.dt = dt
-        self.gain = 1 + (dt / 2) * lam
-        self.inv = 1 / (1 - (dt / 2) * lam)
+        self.gain, self.inv = _per_member(
+            lambda row: (1 + (dt / 2) * row, 1 / (1 - (dt / 2) * row)), lam)
         self.restart()
 
     def restart(self):
@@ -263,13 +287,14 @@ def _step_count(t0, t1, dt):
 def integrate(system, u0, t0, t1, dt):
     """Advance u0 from t0 to t1 in fixed steps dt of the system's scheme.
 
-    ``u0`` may be a single state of shape (dim,) or a (batch, dim) block of
-    states advanced in lockstep.  Raises IntegrationBlowUp (carrying the
-    failure time) if the state leaves the finite / bounded regime.
+    ``u0`` may be a single state of shape (dim,) or a block of states of any
+    leading shape, (batch, dim) or (G, batch, dim), advanced in lockstep.
+    Raises IntegrationBlowUp (carrying the failure time) if the state leaves
+    the finite / bounded regime.
     """
     u0 = np.asarray(u0, dtype=float)
     single = u0.ndim == 1
-    u = u0[None, :].copy() if single else u0.copy()
+    u = u0[None].copy() if single else u0.copy()
     if u.shape[-1] != system.dim:
         raise ValueError(f"state length {u.shape[-1]} != system dim {system.dim}")
     if t1 < t0:

@@ -24,8 +24,14 @@ Each model's system declares the diagonal of its stiff linear operator,
 which picks its integrator (``dynamics.make_stepper``): the periodic
 model's ``k^2 - k^4`` runs with ETDRK4, the odd model's finite-difference
 eigenvalues with IMEX-CNAB2 (``crank_nicolson``).
+
+Both ``rhs`` bodies index with ``...``, so one body maps a ``(rows, dim)``
+block and a ``(G, rows, dim)`` block.  :func:`stack_models` joins G models
+of one boundary condition and dimension into one lockstep system: the
+arrays that depend on L carry a leading member axis of shape ``(G, 1, ...)``.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +68,9 @@ class DomainSpec:
 
 class PeriodicSpectralModel:
     """Pseudospectral evaluation machinery for the periodic case."""
+
+    #: the arrays that depend on L, stacked per member by :func:`stack_models`
+    PER_DOMAIN = ("k", "_half_k", "stiff_linear_part")
 
     def __init__(self, spec, n_modes=None):
         L = spec.L
@@ -106,18 +115,18 @@ class PeriodicSpectralModel:
         """
         n, M = self.n_modes, self.grid_size
         s = np.atleast_2d(state)
-        # (batch, M//2+1, 2): real and imaginary parts of the padded spectrum
-        spectrum = np.zeros((s.shape[0], M // 2 + 1, 2))
-        spectrum[:, : n + 1, 0] = s[:, : n + 1]
-        spectrum[:, 1 : n + 1, 1] = s[:, n + 1 :]
-        spectrum[:, : n + 1] *= M  # rfft normalization
+        # (..., rows, M//2+1, 2): real and imaginary parts of the padded spectrum
+        spectrum = np.zeros(s.shape[:-1] + (M // 2 + 1, 2))
+        spectrum[..., : n + 1, 0] = s[..., : n + 1]
+        spectrum[..., 1 : n + 1, 1] = s[..., n + 1 :]
+        spectrum[..., : n + 1, :] *= M  # rfft normalization
         u = np.fft.irfft(spectrum.view(complex)[..., 0], M, axis=-1)
         u *= u
-        sq = np.fft.rfft(u, axis=-1).view(float).reshape(spectrum.shape)[:, : n + 1]
+        sq = np.fft.rfft(u, axis=-1).view(float).reshape(spectrum.shape)[..., : n + 1, :]
         sq *= self._inv_grid_size
         out = self.stiff_linear_part * s
-        out[:, : n + 1] += self._half_k * sq[..., 1]
-        out[:, n + 1 :] -= self._half_k[1:] * sq[:, 1:, 0]
+        out[..., : n + 1] += self._half_k * sq[..., 1]
+        out[..., n + 1 :] -= self._half_k[..., 1:] * sq[..., 1:, 0]
         return out[0] if np.ndim(state) == 1 else out
 
     def to_physical(self, state, n_points=None):
@@ -163,6 +172,9 @@ class OddPeriodicFDModel:
     starts, are the m lowest sine modes.
     """
 
+    #: the arrays that depend on L, stacked per member by :func:`stack_models`
+    PER_DOMAIN = ("h", "stiff_linear_part")
+
     def __init__(self, spec, n_interior=None):
         L = spec.L
         if n_interior is None:
@@ -195,9 +207,9 @@ class OddPeriodicFDModel:
         sq = dst(a, type=1, norm="ortho")
         sq *= sq
         flux = np.empty_like(sq)
-        flux[:, 1 : n - 1] = sq[:, 2:] - sq[:, : n - 2]
-        flux[:, 0] = sq[:, 1]
-        flux[:, n - 1] = -sq[:, n - 2]
+        flux[..., 1 : n - 1] = sq[..., 2:] - sq[..., : n - 2]
+        flux[..., 0] = sq[..., 1]
+        flux[..., n - 1] = -sq[..., n - 2]
         flux /= 4 * self.h
         out = self.stiff_linear_part * a
         out -= dst(flux, type=1, norm="ortho", overwrite_x=True)
@@ -220,3 +232,27 @@ def make_model(spec, **kwargs):
     if spec.bc == PERIODIC:
         return PeriodicSpectralModel(spec, **kwargs)
     return OddPeriodicFDModel(spec, **kwargs)
+
+
+def stack_models(models):
+    """The lockstep system of G models built by :func:`make_model`.
+
+    A copy of the first model takes each member's ``PER_DOMAIN`` arrays,
+    stacked to shape ``(G, 1, ...)``, so its ``rhs`` maps a ``(G, rows, dim)``
+    block with member g's domain in row block g; each row gets the bits of
+    its own member's ``rhs``.  Members must share their boundary condition
+    and ``dim`` (and the periodic ``grid_size``); others raise ``ValueError``.
+    """
+    first = models[0]
+    for model in models[1:]:
+        if (type(model) is not type(first) or model.dim != first.dim
+                or getattr(model, "grid_size", None) != getattr(first, "grid_size", None)):
+            raise ValueError(f"cannot stack L={model.L:g} (dim {model.dim}) with "
+                             f"L={first.L:g} (dim {first.dim})")
+    stacked = copy.copy(first)
+    for name in first.PER_DOMAIN:
+        rows = [np.reshape(getattr(model, name), -1) for model in models]
+        setattr(stacked, name, np.stack(rows)[:, None])
+    system = stacked.build_system()
+    system.label = "lockstep[" + ", ".join(m.build_system().label for m in models) + "]"
+    return system

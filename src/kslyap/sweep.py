@@ -1,10 +1,17 @@
 """Sweep the Lyapunov-spectrum computation over a grid of domain sizes.
 
-Results are durable: every completed grid point is appended to the output CSV
-immediately, a sidecar ``<output>.meta.json`` pins the configuration
-fingerprint, and re-running the same plan resumes from what is already on
-disk.  Failed grid points are recorded with a ``failed`` flag instead of
-aborting the sweep.
+Consecutive grid points of one model dimension run as one lockstep group
+(:func:`compute_group`, ``ks.stack_models``): their burn-in is one batch and
+each reorthonormalization interval another, so a group costs far less than
+its points alone, and every row is bit-identical to its point's run alone.
+
+Results are durable: the rows of every completed group are appended to the
+output CSV immediately, a sidecar ``<output>.meta.json`` pins the
+configuration fingerprint, and re-running the same plan resumes from what
+is already on disk.  A grid point whose run fails (a blow-up, a non-finite
+flow-map column, a rank-deficient frame) is recorded with a ``failed`` flag
+instead of aborting the sweep; any other error, such as an m larger than
+the model's dimension, ends the sweep and leaves the rows written so far.
 
 :func:`fingerprint` is the one name of a cached result's numbers: it hashes
 the settings a result depends on together with its boundary condition's
@@ -28,8 +35,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis
-from .errors import FingerprintMismatch
-from .ks import DomainSpec, make_model, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
+from .dynamics import initial_state
+from .errors import (FingerprintMismatch, IntegrationBlowUp, NonFiniteColumn,
+                     RankDeficient)
+from .ks import (DomainSpec, make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC,
+                 PERIODIC)
 from .lyapunov import LyapunovConfig, compute_spectrum
 
 #: Each boundary condition's numerics, merged into every fingerprint payload:
@@ -44,6 +54,18 @@ NUMERICS = {PERIODIC: {"scheme": "etdrk4"},
 
 #: Records with leading exponent below this are flagged non-chaotic.
 NONCHAOTIC_THRESHOLD = 0.005
+
+#: The failures of a run that flag its grid point ``failed``; every other
+#: error is a fault of the configuration or the program and ends the sweep.
+RUN_FAILURES = (IntegrationBlowUp, NonFiniteColumn, RankDeficient)
+
+#: Trajectories per lockstep block: a group holds at most
+#: ``GROUP_ROWS // (m + 1)`` grid points (4 at m=12, 2 at m=24).  Measured
+#: per trajectory on a 2-core VM, periodic L=22: an ETDRK4 step costs
+#: 176-201 us at batch 1 and 41-44 us at batch 4 (burn-in), 19-28 us at
+#: batch 13 and 11-12 us at batch 52 (accumulation); near 100 rows a step
+#: leaves the cache and gains nothing.
+GROUP_ROWS = 52
 
 FLAG_OK = "ok"
 FLAGS = ("nonchaotic", "unsaturated", "failed")
@@ -199,17 +221,41 @@ def spectrum_record(L, bc, seed, exponents):
                           dky=ky.dimension, j=ky.j, flags=frozenset(flags))
 
 
+def _model(bc, L, k_max):
+    return make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max))
+
+
 def compute_point(bc, L, k_max, lyap, seed):
-    """Compute one SpectrumRecord; failures are captured in the flags."""
-    cfg = replace(lyap, seed=seed)
+    """Compute one SpectrumRecord; a run failure (:data:`RUN_FAILURES`) is
+    captured in the flags, any other error raised."""
+    system = _model(bc, L, k_max).build_system()
     try:
-        system = make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max)).build_system()
-        result = compute_spectrum(system, cfg)
-    except Exception:
+        result = compute_spectrum(system, replace(lyap, seed=seed))
+    except RUN_FAILURES:
         return SpectrumRecord(L=L, bc=bc, seed=seed,
                               exponents=np.full(lyap.m, np.nan),
                               dky=float("nan"), j=0, flags=frozenset({"failed"}))
     return spectrum_record(L, bc, seed, result.exponents)
+
+
+def compute_group(bc, Ls, k_max, lyap, seeds):
+    """The SpectrumRecords of grid points of one model dimension, computed in
+    lockstep, each bit-identical to :func:`compute_point`'s.
+
+    If the group's run fails, every point is recomputed alone by
+    :func:`compute_point`, so a failure flags only the points that fail
+    alone.  A group of one is :func:`compute_point`.
+    """
+    if len(Ls) == 1:
+        return [compute_point(bc, Ls[0], k_max, lyap, seeds[0])]
+    system = stack_models([_model(bc, L, k_max) for L in Ls])
+    u0 = np.stack([initial_state(system.dim, seed) for seed in seeds])
+    try:
+        result = compute_spectrum(system, lyap, u0)
+    except RUN_FAILURES:
+        return [compute_point(bc, L, k_max, lyap, seed) for L, seed in zip(Ls, seeds)]
+    return [spectrum_record(L, bc, seed, exponents)
+            for L, seed, exponents in zip(Ls, seeds, result.exponents)]
 
 
 def _load_existing(plan, path):
@@ -258,10 +304,13 @@ def _write_sorted(plan, path, records):
 def run_sweep(plan, log=None):
     """Run (or resume) the sweep; returns the records sorted by L.
 
-    Completed points are appended to the output immediately (a row cut
-    short by an interrupted write is recomputed on resume); on normal
-    completion the file is rewritten sorted by L, so the on-disk result is
-    independent of worker count and completion order.
+    The points still to do are computed in lockstep groups
+    (:func:`_groups`), and each group's rows are appended to the output as
+    it completes (a row cut short by an interrupted write is recomputed on
+    resume); on normal completion the file is rewritten sorted by L, so the
+    on-disk result is independent of worker count, grouping and completion
+    order.  An error other than a run failure propagates and leaves the
+    rows already written on disk.
     """
     path = plan.output_path
     if os.path.exists(path):
@@ -280,29 +329,50 @@ def run_sweep(plan, log=None):
     todo = [(idx, L) for idx, L in enumerate(grid) if float(L) not in done]
     if todo:
         with open(path, "a") as sink:
-            for L, rec in _compute_many(plan, todo, log):
-                done[float(L)] = rec
-                sink.write(record_to_row(rec) + "\n")
+            for group in _compute_many(plan, todo):
+                sink.write("".join(record_to_row(rec) + "\n" for rec in group))
                 sink.flush()
+                for rec in group:
+                    done[rec.L] = rec
+                    if log:
+                        log(rec)
         _write_sorted(plan, path, done)
     records = [done[float(L)] for L in grid]
     return records
 
 
-def _compute_many(plan, todo, log):
-    args = [(plan.bc, float(L), plan.k_max, plan.lyap, plan.point_seed(idx))
-            for idx, L in todo]
+def _groups(plan, todo):
+    """Split the to-do ``(index, L)`` points into lockstep groups: runs of
+    consecutive points with equal model dimension, cut to at most
+    ``GROUP_ROWS // (m + 1)`` points, and small enough that there are at
+    least ``workers`` groups when there are that many points."""
+    size = max(1, min(GROUP_ROWS // (plan.lyap.m + 1),
+                      math.ceil(len(todo) / plan.workers)))
+    groups, dim = [], None
+    for idx, L in todo:
+        point_dim = _model(plan.bc, float(L), plan.k_max).dim
+        if point_dim != dim or len(groups[-1]) == size:
+            groups.append([])
+            dim = point_dim
+        groups[-1].append((idx, float(L)))
+    return groups
+
+
+def _compute_many(plan, todo):
+    """Yield each group's records as the group completes."""
+    args = [(plan.bc, [L for _, L in group], plan.k_max, plan.lyap,
+             [plan.point_seed(idx) for idx, _ in group])
+            for group in _groups(plan, todo)]
     if plan.workers == 1 or len(args) == 1:
         for a in args:
-            rec = compute_point(*a)
-            if log:
-                log(rec)
-            yield a[1], rec
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = {pool.submit(compute_point, *a): a[1] for a in args}
+            yield compute_group(*a)
+        return
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        futures = [pool.submit(compute_group, *a) for a in args]
+        try:
             for fut in as_completed(futures):
-                rec = fut.result()
-                if log:
-                    log(rec)
-                yield futures[fut], rec
+                yield fut.result()
+        finally:
+            # an error ends the sweep without starting the groups still queued
+            for fut in futures:
+                fut.cancel()

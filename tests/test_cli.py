@@ -3,6 +3,7 @@ import pytest
 
 from kslyap import IntegrationBlowUp, cli, kaplan_yorke
 from kslyap.cli import main
+from kslyap.sweep import read_records
 
 
 def run(argv, capsys):
@@ -166,6 +167,20 @@ def test_sweep_bad_range_exits_nonzero(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("bc, L, m", [("periodic", "22", "80"), ("odd", "1", "24")])
+def test_sweep_configuration_error_is_an_error_not_a_failed_row(tmp_path, capsys,
+                                                                bc, L, m):
+    out = tmp_path / "s.csv"
+    settings = ["--bc", bc, "--m", m, "--tau", "1", "--T", "0.5", "--N", "2"]
+    sweep = ["sweep", "--L-start", L, "--L-end", L, "--out", str(out)] + settings
+    code, _, err = run(sweep, capsys)
+    assert (code, err) == run(["lyap", "--L", L] + settings, capsys)[::2]
+    assert code == 1 and "exceeds system dimension" in err
+    assert read_records(out) == []
+    # nothing was recorded as done: a rerun meets the same error
+    assert run(sweep, capsys)[::2] == (code, err)
+
+
 def test_sweep_and_dky_round_trip(tmp_path, capsys):
     out = tmp_path / "s.csv"
     argv = ["sweep", "--L-start", "10", "--L-end", "12", "--dL", "1",
@@ -224,6 +239,17 @@ def test_fit_recovers_planted_power_law(tmp_path, capsys):
     stats = [ln for ln in (tmp_path / "fit_stats.csv").read_text().split("\n")
              if ln and not ln.startswith("#") and not ln.startswith("L,")]
     assert len(stats) == 5 * 6
+
+
+@pytest.mark.parametrize("grid", ["0:0:2", "2:0.02:1"])
+def test_fit_refuses_a_grid_that_does_not_step_forward(tmp_path, capsys, grid):
+    results = tmp_path / "synth.csv"
+    _write_synthetic_sweep(results)
+    code, _, err = run(["fit", "--results", str(results), "--p-grid", grid,
+                        "--out", str(tmp_path / "fit")], capsys)
+    assert code == 1
+    assert err == f"error: grid {grid!r} needs step > 0 and end >= start\n"
+    assert not (tmp_path / "fit_pscan.csv").exists()
 
 
 def test_dky_synthetic_slope(tmp_path, capsys):

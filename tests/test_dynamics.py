@@ -3,7 +3,7 @@ import pytest
 
 from kslyap import (DomainSpec, DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
                     compute_spectrum, diagonal_linear_system, initial_state, integrate,
-                    lorenz_system, make_model)
+                    lorenz_system, make_model, stack_models)
 from kslyap import cli, dynamics
 from kslyap.dynamics import (BLOWUP_NORM, _ETDRK4Stepper, _IMEXCNAB2Stepper,
                              _RK4Stepper, _step_count, make_stepper)
@@ -200,6 +200,20 @@ def test_batched_matches_sequential():
     together = integrate(system, batch, 0.0, 1.0, DT)
     singly = np.stack([integrate(system, row, 0.0, 1.0, DT) for row in batch])
     assert np.array_equal(together, singly)
+
+
+@pytest.mark.parametrize("bc, Ls", [("periodic", [99.9, 100.0]), ("odd", [41.0, 41.05])])
+def test_lockstep_coefficients_are_each_members_own(bc, Ls):
+    # a contour mean over a stacked lam rounds otherwise at L=100, so each
+    # member's coefficients are built alone
+    models = [make_model(DomainSpec(L=L, bc=bc)) for L in Ls]
+    stacked = make_stepper(stack_models(models), 0.05)
+    names = (("e_full", "e_half", "q", "f1", "f2", "f3") if bc == "periodic"
+             else ("gain", "inv"))
+    for g, model in enumerate(models):
+        alone = make_stepper(model.build_system(), 0.05)
+        for name in names:
+            assert np.array_equal(getattr(stacked, name)[g, 0], getattr(alone, name))
 
 
 def test_stepper_built_once_per_system_and_step(monkeypatch):

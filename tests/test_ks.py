@@ -3,7 +3,8 @@ import pytest
 
 from kslyap import (DomainSpec, LyapunovConfig, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse, compute_spectrum,
-                    diagonal_linear_system, initial_state, integrate, lorenz_system)
+                    diagonal_linear_system, initial_state, integrate, lorenz_system,
+                    make_model, stack_models)
 from kslyap import lyapunov
 from kslyap.dynamics import _ETDRK4Stepper, _IMEXCNAB2Stepper
 from odd_fd_reference import linear_matrix, stencil_rhs, to_grid
@@ -100,6 +101,28 @@ def test_starting_frames(monkeypatch):
     assert np.allclose(Q, sines / np.linalg.norm(sines, axis=0), rtol=0, atol=1e-14)
     AQ = linear_matrix(model) @ Q
     assert np.allclose(AQ, Q * np.sum(Q * AQ, axis=0), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bc, Ls", [("periodic", [21.7, 21.8, 22.0]),
+                                     ("odd", [41.0, 41.05])])
+def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
+    models = [make_model(DomainSpec(L=L, bc=bc)) for L in Ls]
+    system = stack_models(models)
+    assert system.stiff_linear_part.shape == (len(Ls), 1, system.dim)
+    block = np.stack([[initial_state(system.dim, 10 * g + r) for r in range(3)]
+                      for g in range(len(Ls))])
+    out = system.rhs(0.0, block)
+    for g, model in enumerate(models):
+        assert np.array_equal(out[g], model.rhs(0.0, block[g]))
+
+
+@pytest.mark.parametrize("members", [
+    [("periodic", 21.7), ("periodic", 23.0)], [("odd", 41.0), ("odd", 41.5)],
+    [("periodic", 11.0), ("odd", 11.7)]])  # the last two both have dim 33
+def test_stack_models_refuses_members_of_another_dimension_or_model(members):
+    models = [make_model(DomainSpec(L=L, bc=bc)) for bc, L in members]
+    with pytest.raises(ValueError, match="cannot stack"):
+        stack_models(models)
 
 
 def test_initial_condition_determinism():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslyap import (DynamicalSystem, LyapunovConfig,
+from kslyap import (DomainSpec, DynamicalSystem, LyapunovConfig,
                     RankDeficient, burn_in, compute_spectrum, diagonal_linear_system,
-                    lorenz_system, propagate_frame, reorthonormalize,
-                    scan_reorthonormalization_interval)
+                    initial_state, lorenz_system, make_model, propagate_frame,
+                    reorthonormalize, scan_reorthonormalization_interval,
+                    stack_models)
 
 DT = 0.01
 
@@ -170,3 +171,26 @@ def test_config_validation():
         LyapunovConfig(dt=0.0)
     with pytest.warns(UserWarning):
         LyapunovConfig(epsilon=0.5)
+
+
+@pytest.mark.parametrize("bc, L", [("periodic", 22.0), ("odd", 41.0)])
+def test_a_stack_of_starts_equals_the_single_runs(bc, L):
+    # K seeds of one system in lockstep: one (K, 1, dim) burn-in, one
+    # (K, m+1, dim) block and one stacked QR per interval
+    system = make_model(DomainSpec(L=L, bc=bc)).build_system()
+    cfg = LyapunovConfig(m=4, tau=5.0, T=0.5, N=6, epsilon=1e-6, dt=0.05)
+    u0 = np.stack([initial_state(system.dim, seed) for seed in range(3)])
+    together = compute_spectrum(system, cfg, u0)
+    assert together.exponents.shape == (3, 4)
+    for k in range(3):
+        alone = compute_spectrum(system, cfg, u0[k])
+        assert np.array_equal(together.exponents[k], alone.exponents)
+        assert np.array_equal(together.logR_history[k], alone.logR_history)
+        assert np.array_equal(together.final_state[k], alone.final_state)
+
+
+def test_a_lockstep_system_needs_one_start_per_member():
+    models = [make_model(DomainSpec(L=L)) for L in (21.8, 22.0)]
+    cfg = LyapunovConfig(m=2, tau=0.0, T=0.5, N=1, dt=0.05)
+    with pytest.raises(ValueError, match="2 members"):
+        compute_spectrum(stack_models(models), cfg)

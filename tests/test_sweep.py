@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from kslyap import (FingerprintMismatch, LyapunovConfig,
-                    SpectrumRecord, SweepPlan, kaplan_yorke, read_records,
-                    run_sweep)
-from kslyap.sweep import NUMERICS, header_row, record_to_row, row_to_record
+                    SpectrumRecord, SweepPlan, compute_point, kaplan_yorke,
+                    lyapunov, read_records, run_sweep, sweep)
+from kslyap.sweep import NUMERICS, _groups, header_row, record_to_row, row_to_record
 
 
 def tiny_plan(tmp_path, name="out.csv", **kwargs):
@@ -159,12 +159,95 @@ def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
             run_sweep(plan)
 
 
+def _todo(plan):
+    return list(enumerate(plan.grid()))
+
+
+def _data_rows(plan):
+    return [ln for ln in Path(plan.output_path).read_text().splitlines()
+            if not ln.startswith(("#", "L,"))]
+
+
 def test_worker_count_does_not_change_output(tmp_path):
-    a = tiny_plan(tmp_path, name="a.csv", workers=1)
-    b = tiny_plan(tmp_path, name="b.csv", workers=2)
+    # L = 10.0..10.4 all have n_modes 15: one group of 5 with one worker,
+    # groups of 3 and 2 with two
+    a = tiny_plan(tmp_path, name="a.csv", workers=1, L_end=10.4, dL=0.1)
+    b = tiny_plan(tmp_path, name="b.csv", workers=2, L_end=10.4, dL=0.1)
+    assert [len(g) for g in _groups(a, _todo(a))] == [5]
+    assert [len(g) for g in _groups(b, _todo(b))] == [3, 2]
     run_sweep(a)
     run_sweep(b)
     assert Path(a.output_path).read_text() == Path(b.output_path).read_text()
+
+
+@pytest.mark.parametrize("m, workers, sizes", [
+    (12, 1, [4, 3, 3]), (24, 1, [2, 2, 2, 1, 2, 1]), (12, 4, [3, 3, 1, 3]),
+    (60, 1, [1] * 10)])
+def test_groups_are_consecutive_points_of_one_dimension(tmp_path, m, workers, sizes):
+    # periodic n_modes is 15 from L=9.8 to 10.4 and 16 from 10.5 to 11.1
+    lyap = LyapunovConfig(m=m, tau=1.0, T=0.5, N=1)
+    plan = tiny_plan(tmp_path, L_start=9.8, L_end=10.7, dL=0.1, lyap=lyap,
+                     workers=workers)
+    groups = _groups(plan, _todo(plan))
+    assert [len(g) for g in groups] == sizes
+    assert [p for g in groups for p in g] == [(i, float(L)) for i, L in _todo(plan)]
+
+
+@pytest.mark.parametrize("bc, L_start, L_end, dL, m, size", [
+    ("periodic", 21.7, 22.0, 0.1, 12, 4),
+    ("periodic", 99.9, 100.0, 0.1, 24, 2),
+    ("odd", 41.0, 41.1, 0.05, 12, 3)])
+def test_group_rows_equal_single_point_runs(tmp_path, bc, L_start, L_end, dL, m, size):
+    lyap = LyapunovConfig(m=m, tau=5.0, T=0.5, N=5, epsilon=1e-6, seed=3, dt=0.05)
+    plan = tiny_plan(tmp_path, bc=bc, L_start=L_start, L_end=L_end, dL=dL, lyap=lyap)
+    assert [len(g) for g in _groups(plan, _todo(plan))] == [size]
+    run_sweep(plan)
+    singles = [compute_point(bc, float(L), plan.k_max, lyap, plan.point_seed(i))
+               for i, L in _todo(plan)]
+    assert _data_rows(plan) == [record_to_row(rec) for rec in singles]
+    assert all("failed" not in rec.flags for rec in singles)
+
+
+def test_a_failing_member_flags_only_itself(tmp_path, monkeypatch):
+    # the second of a group of four starts far outside the attractor and
+    # blows up; the group is recomputed point by point
+    plan = tiny_plan(tmp_path, L_start=21.7, L_end=22.0, dL=0.1)
+    assert [len(g) for g in _groups(plan, _todo(plan))] == [4]
+    singles = [compute_point("periodic", float(L), plan.k_max, plan.lyap,
+                             plan.point_seed(i)) for i, L in _todo(plan)]
+    bad_seed = plan.point_seed(1)
+    draw = sweep.initial_state
+
+    def initial_state(dim, seed):
+        return draw(dim, seed) * (1e7 if seed == bad_seed else 1.0)
+
+    monkeypatch.setattr(sweep, "initial_state", initial_state)
+    monkeypatch.setattr(lyapunov, "initial_state", initial_state)
+    records = run_sweep(plan)
+    assert [r.flag == "failed" for r in records] == [False, True, False, False]
+    rows = _data_rows(plan)
+    assert [rows[i] for i in (0, 2, 3)] == [record_to_row(singles[i]) for i in (0, 2, 3)]
+
+
+def test_an_error_that_is_no_run_failure_ends_the_sweep_and_keeps_its_rows(
+        tmp_path, monkeypatch):
+    plan = tiny_plan(tmp_path)
+    run_sweep(tiny_plan(tmp_path, name="fresh.csv"))
+    spectrum = sweep.compute_spectrum
+
+    def faulty(system, cfg, u0=None):
+        if system.dim == 37:  # L=12
+            raise RuntimeError("a fault of the program")
+        return spectrum(system, cfg, u0)
+
+    monkeypatch.setattr(sweep, "compute_spectrum", faulty)
+    with pytest.raises(RuntimeError):
+        run_sweep(plan)
+    assert [row.split(",")[0] for row in _data_rows(plan)] == ["10", "11"]
+    monkeypatch.undo()
+    run_sweep(plan)
+    assert (Path(plan.output_path).read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
 
 
 def test_read_records_checks_dky_consistency(tmp_path):
