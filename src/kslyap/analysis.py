@@ -2,12 +2,15 @@
 
 Throughout, "MAD" is the *mean* absolute deviation about the median, a robust
 dispersion measure (not the median absolute deviation).
+
+The least-squares fits (:func:`fit_power_law`, :func:`fit_dky_linear`) solve
+their triangular system with ``scipy.linalg``, imported on the first fit; the
+rest of the module needs numpy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (DegenerateDivisor, EmptyWindow, InsufficientData,
                      SingularNormalEquations)
@@ -85,14 +88,17 @@ def windowed_median_mad(records, L_center, i, halfwidth=1.0):
     """Median and MAD of the i-th exponent over records with |L-L_center|<=halfwidth.
 
     ``records`` is any iterable with ``.L`` and ``.exponents`` attributes
-    (index i is 1-based, matching the spectrum ordering).
+    (index i is 1-based, matching the spectrum ordering).  Only finite values
+    enter the statistics and the count, so the NaN exponents of a failed
+    sweep row are left out.
     """
-    values = [r.exponents[i - 1] for r in records
-              if abs(r.L - L_center) <= halfwidth and len(r.exponents) >= i]
-    if not values:
-        raise EmptyWindow(f"no records within [{L_center - halfwidth:g}, "
+    values = np.asarray([r.exponents[i - 1] for r in records
+                         if abs(r.L - L_center) <= halfwidth and len(r.exponents) >= i],
+                        dtype=float)
+    values = values[np.isfinite(values)]
+    if not values.size:
+        raise EmptyWindow(f"no finite values within [{L_center - halfwidth:g}, "
                           f"{L_center + halfwidth:g}] with index {i}")
-    values = np.asarray(values, dtype=float)
     return WindowedStat(L_center=float(L_center), index=int(i),
                         median=float(np.median(values)),
                         mad=mean_abs_deviation(values), count=values.size)
@@ -101,6 +107,7 @@ def windowed_median_mad(records, L_center, i, halfwidth=1.0):
 def _lstsq_qr(A, y):
     """Least squares via QR of the design matrix (better conditioned than
     normal equations)."""
+    from scipy.linalg import solve_triangular
     Q, R = np.linalg.qr(A)
     d = np.abs(np.diagonal(R))
     if np.min(d) <= 1e-12 * max(1.0, np.max(d)):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_system
-from .errors import IntegrationBlowUp, KslyapError
+from .errors import InsufficientData, IntegrationBlowUp, KslyapError
 from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
 from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
@@ -243,17 +243,26 @@ def cmd_dky(args):
     for path in str(cfg["results"]).split(","):
         records.extend(read_records(path))
     records.sort(key=lambda r: r.L)
-    usable = [r for r in records if "failed" not in r.flags]
-    slope, intercept, rms = analysis.fit_dky_linear(usable, float(cfg["Lmin_fit"]))
+    # an unsaturated row's D_KY is clipped to m, so like a failed row it stays
+    # in the table but not in the fit
+    L_min = float(cfg["Lmin_fit"])
+    usable = [r for r in records if not r.flags & {"failed", "unsaturated"}]
+    unsaturated = sum("unsaturated" in r.flags for r in records if r.L >= L_min)
+    note = f"; unsaturated rows left out: {unsaturated}" if unsaturated else ""
+    try:
+        slope, intercept, rms = analysis.fit_dky_linear(usable, L_min)
+    except InsufficientData as exc:
+        raise InsufficientData(f"{exc}{note}") from None
     lines = _meta_lines("dky", cfg)
-    lines.append(f"# fit: slope={_g17(slope)} intercept={_g17(intercept)} rms={_g17(rms)}")
+    lines.append(f"# fit: slope={_g17(slope)} intercept={_g17(intercept)} rms={_g17(rms)}"
+                 f"{note}")
     lines.append("L,dky,flag")
     for r in records:
         lines.append(f"{_g17(r.L)},{_g17(r.dky)},{r.flag}")
     with open(cfg["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"D_KY ~= {slope:.4f} L + {intercept:.4f} (rms {rms:.4f}, "
-          f"L >= {cfg['Lmin_fit']})")
+          f"L >= {cfg['Lmin_fit']}{note})")
     return 0
 
 

@@ -25,6 +25,9 @@ which picks its integrator (``dynamics.make_stepper``): the periodic
 model's ``k^2 - k^4`` runs with ETDRK4, the odd model's finite-difference
 eigenvalues with IMEX-CNAB2 (``crank_nicolson``).
 
+Only the odd model needs scipy: ``scipy.fft.dst`` is imported when the first
+odd model is built, so a periodic run imports numpy alone.
+
 Both ``rhs`` bodies index with ``...``, so one body maps a ``(rows, dim)``
 block and a ``(G, rows, dim)`` block.  :func:`stack_models` joins G models
 of one boundary condition and dimension into one lockstep system: the
@@ -35,7 +38,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, next_fast_len
 
 from .dynamics import DynamicalSystem
 from .errors import ResolutionTooCoarse
@@ -66,6 +68,20 @@ class DomainSpec:
                 f"(need >= {min_k:g})")
 
 
+def _next_fast_len(target):
+    """The least 11-smooth integer >= ``target`` (a positive integer): the
+    FFT-friendly length that ``scipy.fft.next_fast_len(target)`` returns."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 class PeriodicSpectralModel:
     """Pseudospectral evaluation machinery for the periodic case."""
 
@@ -85,7 +101,7 @@ class PeriodicSpectralModel:
         self.dim = 2 * n_modes + 1
         # physical grid for the quadratic term; >= 3n+1 makes the retained
         # band alias-free, padded up to an FFT-friendly length
-        self.grid_size = next_fast_len(3 * n_modes + 1)
+        self.grid_size = _next_fast_len(3 * n_modes + 1)
         self.dealias_cut = n_modes
         self.k = 2 * np.pi * np.arange(n_modes + 1) / L
         growth = self.k**2 - self.k**4
@@ -193,6 +209,8 @@ class OddPeriodicFDModel:
         j = np.arange(1, n_interior + 1)
         mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n_interior + 1)))**2
         self.stiff_linear_part = -(mu * mu + mu)
+        from scipy.fft import dst
+        self._dst = dst
 
     def rhs(self, t, state):
         """lam a - dst((u^2/2)_x) with u = dst(a), the sine coefficients of
@@ -204,6 +222,7 @@ class OddPeriodicFDModel:
         """
         a = np.atleast_2d(state)
         n = self.n
+        dst = self._dst
         sq = dst(a, type=1, norm="ortho")
         sq *= sq
         flux = np.empty_like(sq)
@@ -217,7 +236,7 @@ class OddPeriodicFDModel:
 
     def to_physical(self, state):
         """Full field including the boundary zeros; returns (x, u)."""
-        u = dst(np.asarray(state, dtype=float), type=1, norm="ortho")
+        u = self._dst(np.asarray(state, dtype=float), type=1, norm="ortho")
         x = self.h * np.arange(self.n + 2)
         return x, np.concatenate([[0.0], u, [0.0]])
 

@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -367,6 +366,7 @@ def _compute_many(plan, todo):
         for a in args:
             yield compute_group(*a)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=plan.workers) as pool:
         futures = [pool.submit(compute_group, *a) for a in args]
         try:

@@ -103,6 +103,17 @@ def test_window_empty_raises():
         windowed_median_mad([Rec(10.0, [1.0])], 50.0, 1)
 
 
+def test_window_leaves_out_a_failed_rows_nan():
+    recs = [Rec(10.0, [1.0]), Rec(10.1, [2.0]), Rec(9.9, [3.0])]
+    with_failed = recs + [Rec(10.05, [np.nan])]
+    assert windowed_median_mad(with_failed, 10.0, 1) == windowed_median_mad(recs, 10.0, 1)
+
+
+def test_window_of_failed_rows_only_raises():
+    with pytest.raises(EmptyWindow):
+        windowed_median_mad([Rec(10.0, [np.nan]), Rec(10.1, [np.nan])], 10.0, 1)
+
+
 def test_window_permutation_and_duplication_invariance():
     rng = np.random.default_rng(0)
     recs = [Rec(20.0 + 0.1 * i, [v]) for i, v in enumerate(rng.standard_normal(9))]

@@ -183,8 +183,9 @@ def test_sweep_configuration_error_is_an_error_not_a_failed_row(tmp_path, capsys
 
 def test_sweep_and_dky_round_trip(tmp_path, capsys):
     out = tmp_path / "s.csv"
+    # m=4: every row's D_KY saturates, so all three enter the dky fit
     argv = ["sweep", "--L-start", "10", "--L-end", "12", "--dL", "1",
-            "--m", "2", "--tau", "5", "--T", "0.5", "--N", "5",
+            "--m", "4", "--tau", "5", "--T", "0.5", "--N", "5",
             "--out", str(out)]
     code, text, _ = run(argv, capsys)
     assert code == 0
@@ -250,6 +251,68 @@ def test_fit_refuses_a_grid_that_does_not_step_forward(tmp_path, capsys, grid):
     assert code == 1
     assert err == f"error: grid {grid!r} needs step > 0 and end >= start\n"
     assert not (tmp_path / "fit_pscan.csv").exists()
+
+
+def _failed_rows(Ls, m=6):
+    from kslyap.sweep import SpectrumRecord, record_to_row
+    return [record_to_row(SpectrumRecord(
+        L=L, bc="periodic", seed=0, exponents=np.full(m, np.nan), dky=np.nan, j=0,
+        flags=frozenset({"failed"}))) + "\n" for L in Ls]
+
+
+def test_fit_leaves_failed_rows_out_of_the_windows(tmp_path, capsys):
+    clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
+    _write_synthetic_sweep(clean)
+    mixed.write_text(clean.read_text() + "".join(_failed_rows([65.05, 85.0, 95.1])))
+    stats = {}
+    for name, results in (("clean", clean), ("mixed", mixed)):
+        code, _, _ = run(["fit", "--results", str(results), "--L-centers",
+                          "55,65,75,85,95", "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+        text = (tmp_path / f"{name}_stats.csv").read_text()
+        stats[name] = [ln for ln in text.split("\n") if not ln.startswith("#")]
+    assert "nan" not in "\n".join(stats["mixed"])
+    assert stats["mixed"] == stats["clean"]
+
+
+def _write_dky_rows(path, rows):
+    """Sweep CSV of (L, j, f) rows with D_KY = j + f, m=4; f=None makes the
+    row unsaturated (all four exponents positive, D_KY clipped to 4)."""
+    from kslyap.sweep import header_row, record_to_row, spectrum_record
+    lines = ["# synthetic", header_row(4)]
+    for L, j, f in rows:
+        if f is None:
+            lam = np.array([0.04, 0.03, 0.02, 0.01])
+        else:
+            lam = np.array([0.01] * j + [-0.01 * j / f] + [-5.0] * (3 - j))
+        lines.append(record_to_row(spectrum_record(L, "periodic", 0, lam)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_dky_leaves_unsaturated_rows_out_of_the_fit(tmp_path, capsys):
+    results, out = tmp_path / "synth.csv", tmp_path / "d.csv"
+    _write_dky_rows(results, [(80.0, 2, 0.5), (85.0, 0, None), (90.0, 3, 0.75),
+                              (95.0, 0, None)])
+    code, text, _ = run(["dky", "--results", str(results), "--Lmin-fit", "80",
+                         "--out", str(out)], capsys)
+    assert code == 0
+    lines = out.read_text().split("\n")
+    fit_line = [ln for ln in lines if ln.startswith("# fit:")][0]
+    slope = float(fit_line.split("slope=")[1].split()[0])
+    assert slope == pytest.approx((3.75 - 2.5) / 10.0, abs=1e-12)
+    assert fit_line.endswith("; unsaturated rows left out: 2")
+    assert "unsaturated rows left out: 2" in text
+    assert sum(ln.endswith(",unsaturated") for ln in lines) == 2
+
+
+def test_dky_refuses_a_fit_of_fewer_than_two_saturated_rows(tmp_path, capsys):
+    results, out = tmp_path / "synth.csv", tmp_path / "d.csv"
+    _write_dky_rows(results, [(80.0, 2, 0.5), (85.0, 0, None), (90.0, 0, None)])
+    code, _, err = run(["dky", "--results", str(results), "--Lmin-fit", "80",
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "unsaturated rows left out: 2" in err
+    assert not out.exists()
 
 
 def test_dky_synthetic_slope(tmp_path, capsys):
