@@ -74,8 +74,11 @@ def kaplan_yorke(exponents):
     divisor = lam[j]
     if divisor == 0.0:
         raise DegenerateDivisor("exponent following index j is exactly zero")
-    return KaplanYorkeResult(
-        j=j, dimension=j + partial[j - 1] / abs(divisor), partial_sums=partial)
+    # partial[j] < 0 means partial[j-1] < -lam[j] exactly (a rounded sum keeps
+    # its sign), so the fraction is below 1, but j + fraction can round to j + 1
+    dimension = j + partial[j - 1] / abs(divisor)
+    return KaplanYorkeResult(j=j, dimension=min(dimension, np.nextafter(j + 1, j)),
+                             partial_sums=partial)
 
 
 def mean_abs_deviation(values):

@@ -1,14 +1,17 @@
 """Command-line interface: simulate, lyap, sweep, fit, dky.
 
-Every output file starts with ``#``-prefixed metadata lines echoing the full
-effective configuration, so re-running the same command reproduces the file
-byte for byte.  Options may also be supplied through ``--config FILE`` with
-flat ``key = value`` lines (dashes or underscores); explicit command-line
-flags override the file.
+:data:`COMMANDS` declares each subcommand's options once; the parser, the
+config-file reader and the "requires" errors read it.  Every output file
+starts with ``#``-prefixed metadata lines echoing the full effective
+configuration, so re-running the same command reproduces the file byte for
+byte.  Options may also be supplied through ``--config FILE`` with flat
+``key = value`` lines; explicit flags override the file, and a key that no
+subcommand takes is refused.
 """
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,16 +23,42 @@ from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalizatio
 from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
                     run_sweep, spectrum_record)
 
-_LYAP = LyapunovConfig()
-_DEFAULTS = {
-    "bc": PERIODIC, "m": _LYAP.m, "tau": _LYAP.tau, "T": _LYAP.T, "N": _LYAP.N,
-    "epsilon": _LYAP.epsilon, "seed": _LYAP.seed, "dt": _LYAP.dt,
-    "kmax": DEFAULT_K_MAX, "dL": 0.1, "workers": 1, "t_end": 500.0, "dt_out": 0.5,
-    "halfwidth": 1.0, "p_grid": "0.02:0.02:2.0", "Lmin_fit": 80.0,
+_SPECTRUM = asdict(LyapunovConfig())
+_DOMAIN = {"bc": PERIODIC, "L": None, "kmax": DEFAULT_K_MAX}
+
+#: Subcommand -> (help, {option: default}, required options), besides
+#: ``--config``.  Option ``x_y`` is the flag ``--x-y`` and the config key
+#: ``x_y`` or ``x-y``.  The spectrum options are the fields of LyapunovConfig,
+#: each value converted by the type of its default.  A required option is
+#: missing when unset or empty.
+COMMANDS = {
+    "simulate": ("integrate the PDE and dump u(x,t)",
+                 {"out": None, **_DOMAIN, "dt": _SPECTRUM["dt"],
+                  "seed": _SPECTRUM["seed"], "t_end": 500.0, "dt_out": 0.5},
+                 ("L", "out")),
+    "lyap": ("compute one Lyapunov spectrum",
+             {"out": None, **_DOMAIN, **_SPECTRUM, "scan_T": None, "system": None},
+             ()),
+    "sweep": ("sweep spectra over a grid of domain sizes",
+              {"out": None, "bc": PERIODIC, "L_start": None, "L_end": None,
+               "dL": 0.1, "kmax": DEFAULT_K_MAX, **_SPECTRUM, "workers": 1},
+              ("L_start", "L_end", "out")),
+    "fit": ("windowed stats, p-scan, and power-law fit",
+            {"out": None, "results": None, "halfwidth": 1.0,
+             "p_grid": "0.02:0.02:2.0", "L_centers": None},
+            ("results", "out")),
+    "dky": ("D_KY vs L table and linear fit",
+            {"out": None, "results": None, "Lmin_fit": 80.0},
+            ("results", "out")),
 }
 
 
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
 def _read_config_file(path):
+    known = {key for _, options, _ in COMMANDS.values() for key in options}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -39,29 +68,33 @@ def _read_config_file(path):
             if "=" not in line:
                 raise KslyapError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            name = key.replace("-", "_")
+            if name not in known:
+                raise KslyapError(f"{path}:{lineno}: unknown key {key!r}")
+            values[name] = value
     return values
 
 
-def _effective(args, keys, defaults=_DEFAULTS):
-    """Merge defaults, config file, and explicit flags (in that order)."""
+def _effective(args, options=None):
+    """The command's options (or ``options``, {option: default}) merged from
+    defaults, config file and explicit flags, in that order; a required
+    option still missing is an error."""
+    _, table, requires = COMMANDS[args.command]
     file_values = _read_config_file(args.config) if args.config else {}
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = file_values[key]
-        if value is None:
-            value = defaults.get(key)
-        out[key] = value
-    return out
+    cfg = {}
+    for key, default in (options or table).items():
+        value = getattr(args, key)
+        cfg[key] = file_values.get(key, default) if value is None else value
+    if any(not cfg[key] for key in requires):
+        flags = [_flag(key) for key in requires]
+        raise KslyapError(f"{args.command} requires {', '.join(flags[:-1])} "
+                          f"and {flags[-1]}")
+    return cfg
 
 
 def _lyap_config(cfg):
-    return LyapunovConfig(
-        m=int(cfg["m"]), tau=float(cfg["tau"]), T=float(cfg["T"]),
-        N=int(cfg["N"]), epsilon=float(cfg["epsilon"]), seed=int(cfg["seed"]),
-        dt=float(cfg["dt"]))
+    return LyapunovConfig(**{key: type(default)(cfg[key])
+                             for key, default in _SPECTRUM.items()})
 
 
 def _meta_lines(cmd, cfg):
@@ -79,9 +112,7 @@ def _parse_grid(text):
 
 
 def cmd_simulate(args):
-    cfg = _effective(args, ["bc", "L", "kmax", "dt", "seed", "t_end", "dt_out", "out"])
-    if cfg["L"] is None or cfg["out"] is None:
-        raise KslyapError("simulate requires --L and --out")
+    cfg = _effective(args)
     bc, L = cfg["bc"], float(cfg["L"])
     model = make_model(DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"])))
     system = model.build_system()
@@ -119,15 +150,13 @@ def _oracle_system(name):
 
 
 def cmd_lyap(args):
-    keys = ["bc", "L", "kmax", "m", "tau", "T", "N", "epsilon", "seed", "dt",
-            "out", "scan_T", "system"]
-    cfg = _effective(args, keys)
+    cfg = _effective(args)
     if cfg["system"]:
         system, dt = _oracle_system(cfg["system"])
         # the oracle's step unless a flag or the config file sets dt; no
         # domain, boundary condition or resolution applies, so none is echoed
-        keys = [k for k in keys if k not in ("bc", "L", "kmax")]
-        cfg = _effective(args, keys, {**_DEFAULTS, "dt": dt})
+        options = {k: v for k, v in COMMANDS["lyap"][1].items() if k not in _DOMAIN}
+        cfg = _effective(args, {**options, "dt": dt})
         cfg["m"] = min(int(cfg["m"]), system.dim)
         bc, L = cfg["system"], float("nan")
     else:
@@ -167,10 +196,7 @@ def cmd_lyap(args):
 
 
 def cmd_sweep(args):
-    cfg = _effective(args, ["bc", "L_start", "L_end", "dL", "kmax", "m", "tau",
-                            "T", "N", "epsilon", "seed", "dt", "workers", "out"])
-    if cfg["L_start"] is None or cfg["L_end"] is None or cfg["out"] is None:
-        raise KslyapError("sweep requires --L-start, --L-end and --out")
+    cfg = _effective(args)
     plan = SweepPlan(
         L_start=float(cfg["L_start"]), L_end=float(cfg["L_end"]),
         bc=cfg["bc"], dL=float(cfg["dL"]), k_max=float(cfg["kmax"]),
@@ -192,9 +218,7 @@ def _stat_centers(records, halfwidth):
 
 
 def cmd_fit(args):
-    cfg = _effective(args, ["results", "halfwidth", "p_grid", "L_centers", "out"])
-    if not cfg["results"] or not cfg["out"]:
-        raise KslyapError("fit requires --results and --out")
+    cfg = _effective(args)
     p_grid = _parse_grid(str(cfg["p_grid"]))
     records = []
     for path in str(cfg["results"]).split(","):
@@ -236,9 +260,7 @@ def cmd_fit(args):
 
 
 def cmd_dky(args):
-    cfg = _effective(args, ["results", "Lmin_fit", "out"])
-    if not cfg["results"] or not cfg["out"]:
-        raise KslyapError("dky requires --results and --out")
+    cfg = _effective(args)
     records = []
     for path in str(cfg["results"]).split(","):
         records.extend(read_records(path))
@@ -271,42 +293,14 @@ def build_parser():
         prog="kslyap",
         description="Kuramoto-Sivashinsky Lyapunov spectra and Kaplan-Yorke dimensions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out")
-
-    p = sub.add_parser("simulate", help="integrate the PDE and dump u(x,t)")
-    common(p)
-    for flag in ("--bc", "--L", "--kmax", "--dt", "--seed", "--t-end", "--dt-out"):
-        p.add_argument(flag)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("lyap", help="compute one Lyapunov spectrum")
-    common(p)
-    for flag in ("--bc", "--L", "--kmax", "--m", "--tau", "--T", "--N",
-                 "--epsilon", "--seed", "--dt", "--scan-T", "--system"):
-        p.add_argument(flag)
-    p.set_defaults(func=cmd_lyap)
-
-    p = sub.add_parser("sweep", help="sweep spectra over a grid of domain sizes")
-    common(p)
-    for flag in ("--bc", "--L-start", "--L-end", "--dL", "--kmax", "--m",
-                 "--tau", "--T", "--N", "--epsilon", "--seed", "--dt", "--workers"):
-        p.add_argument(flag)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fit", help="windowed stats, p-scan, and power-law fit")
-    common(p)
-    for flag in ("--results", "--halfwidth", "--p-grid", "--L-centers"):
-        p.add_argument(flag)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("dky", help="D_KY vs L table and linear fit")
-    common(p)
-    for flag in ("--results", "--Lmin-fit"):
-        p.add_argument(flag)
-    p.set_defaults(func=cmd_dky)
+        for option in options:
+            p.add_argument(_flag(option))
+        # looked up here, not at import, so a wrapper that replaced a cmd_*
+        # function in this module is the one called
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -315,10 +309,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KslyapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (KslyapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,9 +7,9 @@ axes, and returns the elementwise right-hand sides, which lets callers
 propagate many trajectories in lockstep (used heavily by the Lyapunov
 engine).  A lockstep system of G members (``ks.stack_models``) declares its
 operator with a leading member axis, shape ``(G, 1, dim)``, and steps
-``(G, rows, dim)`` blocks; each stepper builds its coefficients member by
-member with the code of a single system, so every row of a block gets the
-bits it gets alone.
+``(G, rows, dim)`` blocks; every row of a block gets the bits it gets
+alone, as each stepper builds its coefficients member by member with the
+code of a single system (ETDRK4) or elementwise (IMEX-CNAB2).
 
 The system determines its fixed-step scheme (:func:`make_stepper`) from the
 stiff linear operator it declares, a diagonal ``stiff_linear_part``:
@@ -217,8 +217,8 @@ class _IMEXCNAB2Stepper(_Stepper):
         self.f = system.rhs_batch
         self.lam = lam
         self.dt = dt
-        self.gain, self.inv = _per_member(
-            lambda row: (1 + (dt / 2) * row, 1 / (1 - (dt / 2) * row)), lam)
+        self.gain = 1 + (dt / 2) * lam
+        self.inv = 1 / (1 - (dt / 2) * lam)
         self.restart()
 
     def restart(self):

@@ -50,3 +50,9 @@ class InsufficientData(KslyapError):
 
 class FingerprintMismatch(KslyapError):
     """Existing sweep output was produced with a different configuration."""
+
+
+#: The failures of a run: they flag a sweep's grid point ``failed`` and give
+#: a ``--scan-T`` row of NaNs.  Every other error is a fault of the
+#: configuration or the program and ends the command.
+RUN_FAILURES = (IntegrationBlowUp, NonFiniteColumn, RankDeficient)

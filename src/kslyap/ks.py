@@ -102,7 +102,6 @@ class PeriodicSpectralModel:
         # physical grid for the quadratic term; >= 3n+1 makes the retained
         # band alias-free, padded up to an FFT-friendly length
         self.grid_size = _next_fast_len(3 * n_modes + 1)
-        self.dealias_cut = n_modes
         self.k = 2 * np.pi * np.arange(n_modes + 1) / L
         growth = self.k**2 - self.k**4
         self.stiff_linear_part = np.concatenate([growth, growth[1:]])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import initial_state, integrate
-from .errors import NonFiniteColumn, RankDeficient
+from .errors import RUN_FAILURES, NonFiniteColumn, RankDeficient
 
 
 @dataclass
@@ -177,8 +177,10 @@ def compute_spectrum(system, cfg, u0=None):
 def scan_reorthonormalization_interval(system, cfg, T_values):
     """Recompute the spectrum for each T, everything else held fixed.
 
-    Returns (T_values, exponent matrix) with one row per T; failed runs give
-    a row of NaNs rather than aborting the scan.
+    Returns (T_values, exponent matrix) with one row per T.  A run that
+    fails (``errors.RUN_FAILURES``) gives a row of NaNs rather than aborting
+    the scan; any other error, such as an m above the system's dimension,
+    is raised.
     """
     T_values = np.asarray(T_values, dtype=float)
     if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
@@ -187,6 +189,6 @@ def scan_reorthonormalization_interval(system, cfg, T_values):
     for idx, T in enumerate(T_values):
         try:
             rows[idx] = compute_spectrum(system, replace(cfg, T=float(T))).exponents
-        except Exception as exc:
+        except RUN_FAILURES as exc:
             warnings.warn(f"T={T:g} failed: {exc}")
     return T_values, rows

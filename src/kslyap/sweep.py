@@ -29,14 +29,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import analysis
 from .dynamics import initial_state
-from .errors import (FingerprintMismatch, IntegrationBlowUp, NonFiniteColumn,
-                     RankDeficient)
+from .errors import RUN_FAILURES, FingerprintMismatch
 from .ks import (DomainSpec, make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC,
                  PERIODIC)
 from .lyapunov import LyapunovConfig, compute_spectrum
@@ -53,10 +52,6 @@ NUMERICS = {PERIODIC: {"scheme": "etdrk4"},
 
 #: Records with leading exponent below this are flagged non-chaotic.
 NONCHAOTIC_THRESHOLD = 0.005
-
-#: The failures of a run that flag its grid point ``failed``; every other
-#: error is a fault of the configuration or the program and ends the sweep.
-RUN_FAILURES = (IntegrationBlowUp, NonFiniteColumn, RankDeficient)
 
 #: Trajectories per lockstep block: a group holds at most
 #: ``GROUP_ROWS // (m + 1)`` grid points (4 at m=12, 2 at m=24).  Measured
@@ -131,10 +126,11 @@ class SweepPlan:
 
 def spectrum_settings(bc, k_max, lyap):
     """The settings a spectrum's numbers depend on, apart from L and how its
-    seed is chosen; callers add those."""
-    return {"bc": bc, "k_max": k_max,
-            "m": lyap.m, "tau": lyap.tau, "T": lyap.T,
-            "N": lyap.N, "epsilon": lyap.epsilon, "dt": lyap.dt}
+    seed is chosen; callers add those.  Every field of ``lyap`` but its seed
+    is one, so a new field enters every fingerprint."""
+    settings = asdict(lyap)
+    del settings["seed"]
+    return {"bc": bc, "k_max": k_max, **settings}
 
 
 def _payload(settings):
@@ -320,9 +316,7 @@ def run_sweep(plan, log=None):
             json.dump({"fingerprint": plan.fingerprint(), "plan": plan.echo()},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(path, "w") as fh:
-            fh.write(f"# fingerprint={plan.fingerprint()}\n")
-            fh.write(header_row(plan.lyap.m) + "\n")
+        _write_sorted(plan, path, done)
 
     grid = plan.grid()
     todo = [(idx, L) for idx, L in enumerate(grid) if float(L) not in done]

@@ -76,6 +76,21 @@ def test_ky_bracket(lam):
     assert res.j <= res.dimension < res.j + 1
 
 
+def test_ky_stays_below_j_plus_one_when_the_sum_rounds_up():
+    # 2 + 2/2.0000000000000004 rounds to 3
+    res = kaplan_yorke([1.0, 1.0, -2.0000000000000004])
+    assert res.j == 2 and res.dimension == np.nextafter(3.0, 2.0)
+
+
+@pytest.mark.parametrize("k", range(-2, 3))
+@pytest.mark.parametrize("lead", [(1.0, 1.0), (0.043, 0.003), (0.7, 0.1), (3.0, 1.0)])
+def test_ky_bracket_at_the_rounding_boundary(lead, k):
+    # lambda_3 within k ulps of -(lambda_1 + lambda_2): the third partial sum
+    # is zero or a few ulps either side of it
+    res = kaplan_yorke([*lead, -sum(lead) * (1 + k * 2.0**-52)])
+    assert res.j <= res.dimension < res.j + 1
+
+
 # --- windowed statistics ---
 
 def test_window_single_record():

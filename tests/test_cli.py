@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,63 @@ def test_lyap_oracle_lorenz_scan_T(tmp_path, capsys):
 def test_lyap_requires_L_or_system(capsys):
     code, _, err = run(["lyap"], capsys)
     assert code == 1 and "error" in err
+
+
+#: Each subcommand's flags after -h, --help and --config, in help order.
+FLAGS = {
+    "simulate": "--out --bc --L --kmax --dt --seed --t-end --dt-out",
+    "lyap": "--out --bc --L --kmax --m --tau --T --N --epsilon --seed --dt "
+            "--scan-T --system",
+    "sweep": "--out --bc --L-start --L-end --dL --kmax --m --tau --T --N --epsilon "
+             "--seed --dt --workers",
+    "fit": "--out --results --halfwidth --p-grid --L-centers",
+    "dky": "--out --results --Lmin-fit",
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == list(FLAGS)
+    for name, sub in action.choices.items():
+        flags = [flag for a in sub._actions for flag in a.option_strings]
+        assert flags == ["-h", "--help", "--config"] + FLAGS[name].split()
+
+
+@pytest.mark.parametrize("argv", [
+    # the shapes of the benchmark's calls (bench/run.py)
+    ["lyap", "--bc", "odd", "--L", "100", "--m", "24", "--seed", "0", "--out", "s.csv",
+     "--T", "2", "--N", "75", "--tau", "150", "--dt", "0.05", "--kmax", "9",
+     "--epsilon", "1e-6"],
+    ["lyap", "--m", "1", "--T", "0.05", "--N", "1", "--tau", "0", "--seed", "0",
+     "--bc", "periodic", "--L", "100", "--dt", "0.05", "--kmax", "9", "--epsilon", "1e-6"],
+    ["sweep", "--L-end", "21.9", "--bc", "periodic", "--m", "12", "--dL", "0.1",
+     "--workers", "1", "--seed", "0", "--out", "w.csv", "--L-start", "21.7",
+     "--T", "2", "--N", "3", "--tau", "6", "--dt", "0.05", "--kmax", "9",
+     "--epsilon", "1e-6"],
+    ["dky", "--results", "w.csv", "--Lmin-fit", "0", "--out", "d.csv"],
+])
+def test_the_benchmark_command_lines_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--L", "22"], "simulate requires --L and --out"),
+    (["sweep", "--L-start", "1", "--out", "s.csv"],
+     "sweep requires --L-start, --L-end and --out"),
+    (["fit", "--out", "f"], "fit requires --results and --out"),
+    (["dky", "--results", "s.csv"], "dky requires --results and --out"),
+])
+def test_a_missing_required_option_is_named(capsys, argv, message):
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_lyap_scan_T_stops_on_a_configuration_error(capsys):
+    code, out, err = run(["lyap", "--L", "22", "--m", "9999", "--tau", "0", "--N", "1",
+                          "--scan-T", "0.5,1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "exceeds system dimension" in err
 
 
 def test_sweep_bad_range_exits_nonzero(tmp_path, capsys):
@@ -369,6 +428,29 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 0
     data2 = [ln for ln in out2.read_text().split("\n") if ln and not ln.startswith("#")]
     assert len(data2) == 4  # flag overrides the file: t = 0, 1, 2
+
+
+def test_config_file_refuses_a_key_no_subcommand_takes(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.txt"
+    cfgfile.write_text("L = 22\n\ntua = 5\n")
+    out = tmp_path / "sim.csv"
+    code, _, err = run(["simulate", "--config", str(cfgfile), "--out", str(out)], capsys)
+    assert (code, err) == (1, f"error: {cfgfile}:3: unknown key 'tua'\n")
+    assert not out.exists()
+
+
+def test_one_config_file_serves_lyap_and_sweep(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.txt"
+    cfgfile.write_text("L = 22\nL-start = 22\nL_end = 22\nm = 2\ntau = 0\n"
+                       "T = 0.5\nN = 1\n")
+    lyap, sweep = tmp_path / "l.csv", tmp_path / "s.csv"
+    assert main(["lyap", "--config", str(cfgfile), "--out", str(lyap)]) == 0
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    # each run takes the keys it has and leaves the other's
+    assert len(_lyap_file(lyap)[1][6:]) == 2
+    [rec] = read_records(sweep)
+    assert (rec.L, len(rec.exponents)) == (22.0, 2)
 
 
 def test_config_file_rejects_garbage(tmp_path, capsys):
