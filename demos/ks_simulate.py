@@ -8,10 +8,9 @@ is conserved by the dynamics.
 
 import numpy as np
 
-from kslyap import DomainSpec, initial_state, integrate, make_model
+from kslyap import initial_state, integrate, make_model
 
-spec = DomainSpec(L=60.0, bc="periodic")
-model = make_model(spec)
+model = make_model("periodic", 60.0)
 system = model.build_system()
 dt = 0.05  # the periodic model's diagonal stiff part is integrated by ETDRK4
 
@@ -22,7 +21,7 @@ mean0 = model.field_mean(state)
 state = integrate(system, state, 0.0, 100.0, dt)
 
 shades = " .:-=+*#%@"
-print(f"u(x, t) on L = {spec.L:g} (rows: t = 100..160, cols: x):")
+print(f"u(x, t) on L = {model.L:g} (rows: t = 100..160, cols: x):")
 for step in range(30):
     state = integrate(system, state, 0.0, 2.0, dt)
     _, u = model.to_physical(state)

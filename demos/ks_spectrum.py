@@ -7,11 +7,9 @@ demo finishes in well under a minute; production values are tau = 2000 and
 N = 1000.
 """
 
-from kslyap import (DomainSpec, LyapunovConfig, compute_spectrum, kaplan_yorke,
-                    make_model)
+from kslyap import LyapunovConfig, compute_spectrum, kaplan_yorke, make_model
 
-spec = DomainSpec(L=22.0, bc="periodic")
-system = make_model(spec).build_system()
+system = make_model("periodic", 22.0).build_system()
 cfg = LyapunovConfig(m=10, tau=500.0, T=2.0, N=400, epsilon=1e-6, seed=0, dt=0.05)
 
 result = compute_spectrum(system, cfg)

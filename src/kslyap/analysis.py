@@ -8,24 +8,18 @@ their triangular system with ``scipy.linalg``, imported on the first fit; the
 rest of the module needs numpy alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDivisor, EmptyWindow, InsufficientData,
-                     SingularNormalEquations)
-
-#: lambda_i(L) ~= PRED_A + PRED_C*(i - PRED_I0)/L  for the periodic case.
-PRED_A = 0.093
-PRED_C = -0.94
-PRED_I0 = 0.39
+from .errors import EmptyWindow, InsufficientData, SingularNormalEquations
 
 
 @dataclass
 class KaplanYorkeResult:
     j: int                     # largest index with nonnegative partial sum
     dimension: float
-    partial_sums: np.ndarray
     unsaturated: bool = False  # partial sums never went negative
 
 
@@ -66,19 +60,15 @@ def kaplan_yorke(exponents):
     partial = np.cumsum(lam)
     nonneg = np.nonzero(partial >= 0)[0]
     if nonneg.size == 0:
-        return KaplanYorkeResult(j=0, dimension=0.0, partial_sums=partial)
+        return KaplanYorkeResult(j=0, dimension=0.0)
     j = int(nonneg[-1]) + 1
     if j == lam.size:
-        return KaplanYorkeResult(j=j, dimension=float(j), partial_sums=partial,
-                                 unsaturated=True)
-    divisor = lam[j]
-    if divisor == 0.0:
-        raise DegenerateDivisor("exponent following index j is exactly zero")
-    # partial[j] < 0 means partial[j-1] < -lam[j] exactly (a rounded sum keeps
-    # its sign), so the fraction is below 1, but j + fraction can round to j + 1
-    dimension = j + partial[j - 1] / abs(divisor)
-    return KaplanYorkeResult(j=j, dimension=min(dimension, np.nextafter(j + 1, j)),
-                             partial_sums=partial)
+        return KaplanYorkeResult(j=j, dimension=float(j), unsaturated=True)
+    # partial[j] < 0 <= partial[j-1] means lam[j] < 0 and partial[j-1] < -lam[j]
+    # exactly (a rounded sum keeps its sign), so the fraction is below 1, but
+    # j + fraction can round to j + 1
+    dimension = j + partial[j - 1] / abs(lam[j])
+    return KaplanYorkeResult(j=j, dimension=min(dimension, np.nextafter(j + 1, j)))
 
 
 def mean_abs_deviation(values):
@@ -144,8 +134,18 @@ def fit_power_law(stats, p):
                        n_points=len(kept))
 
 
+def _grid(start, step, end):
+    """The points ``start + i*step`` up to ``end`` (within a millionth of a
+    step), rounded to 10 decimals: the sweep's L grid, the p grid and the
+    ``simulate`` output times."""
+    n = int(math.floor((end - start) / step + 0.5)) + 1
+    values = start + step * np.arange(n)
+    values = values[values <= end + 1e-6 * step]
+    return np.round(values, 10)
+
+
 def default_p_grid():
-    return np.round(np.arange(1, 101) * 0.02, 10)
+    return _grid(0.02, 0.02, 2.0)
 
 
 def scan_exponent_p(stats, p_grid=None):
@@ -182,16 +182,3 @@ def fit_dky_linear(records, L_min=80.0):
     resid = d - (slope * L + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
-
-def predict_exponent(i, L):
-    """Empirical periodic-case model for the i-th exponent on domain L."""
-    if not L > 0 or i < 1:
-        raise ValueError("require L > 0 and i >= 1")
-    return PRED_A + PRED_C * (i - PRED_I0) / L
-
-
-def estimate_j_zero(L):
-    """Index at which the partial exponent sums cross zero: ~0.2L - 0.2."""
-    if not L > 0:
-        raise ValueError("require L > 0")
-    return 0.2 * L - 0.2

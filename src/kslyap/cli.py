@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis
 from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_system
 from .errors import InsufficientData, IntegrationBlowUp, KslyapError
-from .ks import DomainSpec, DEFAULT_K_MAX, PERIODIC, make_model
+from .ks import DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
 from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
                     run_sweep, spectrum_record)
@@ -103,24 +103,21 @@ def _meta_lines(cmd, cfg):
 
 
 def _parse_grid(text):
-    """The points of ``start:step:end``, both ends included."""
+    """The points of ``start:step:end`` (``analysis._grid``)."""
     start, step, end = (float(v) for v in text.split(":"))
     if not step > 0 or not end >= start:
         raise KslyapError(f"grid {text!r} needs step > 0 and end >= start")
-    n = int(round((end - start) / step)) + 1
-    return np.round(start + step * np.arange(n), 10)
+    return analysis._grid(start, step, end)
 
 
 def cmd_simulate(args):
     cfg = _effective(args)
-    bc, L = cfg["bc"], float(cfg["L"])
-    model = make_model(DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"])))
+    model = make_model(cfg["bc"], float(cfg["L"]), float(cfg["kmax"]))
     system = model.build_system()
     dt = float(cfg["dt"])
     state = initial_state(model.dim, int(cfg["seed"]))
     t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
-    times = np.round(np.arange(int(np.floor(t_end / dt_out + 0.5)) + 1) * dt_out, 10)
-    times = times[times <= t_end + dt_out / 2]
+    times = analysis._grid(0.0, dt_out, t_end)
     x, _ = model.to_physical(state)
     lines = _meta_lines("simulate", cfg)
     lines.append("t," + ",".join(_g17(v) for v in x))
@@ -163,8 +160,7 @@ def cmd_lyap(args):
         if cfg["L"] is None:
             raise KslyapError("lyap requires --L (or --system)")
         bc, L = cfg["bc"], float(cfg["L"])
-        spec = DomainSpec(L=L, bc=bc, k_max_target=float(cfg["kmax"]))
-        system = make_model(spec).build_system()
+        system = make_model(bc, L, float(cfg["kmax"])).build_system()
     lyap = _lyap_config(cfg)
 
     if cfg["scan_T"]:

@@ -32,10 +32,6 @@ class RankDeficient(KslyapError):
     """
 
 
-class DegenerateDivisor(KslyapError):
-    """Kaplan-Yorke formula hit an exactly-zero divisor exponent."""
-
-
 class EmptyWindow(KslyapError):
     """No sweep records fall inside the requested window."""
 

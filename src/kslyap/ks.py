@@ -19,7 +19,9 @@ Two discretizations are provided for the two boundary conditions:
                    ghost-point operator ``-(D4 + D2) = -(D2^2 + D2)`` is
                    diagonal.
 
-Both models resolve wavenumbers up to at least ``k_max_target`` (default 9).
+:func:`make_model` builds the model of a boundary condition on a domain of
+length L; both models resolve wavenumbers up to at least ``k_max``
+(default 9).
 Each model's system declares the diagonal of its stiff linear operator,
 which picks its integrator (``dynamics.make_stepper``): the periodic
 model's ``k^2 - k^4`` runs with ETDRK4, the odd model's finite-difference
@@ -35,7 +37,6 @@ arrays that depend on L carry a leading member axis of shape ``(G, 1, ...)``.
 """
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,26 +47,6 @@ PERIODIC = "periodic"
 ODD_PERIODIC = "odd"
 
 DEFAULT_K_MAX = 9.0
-
-
-@dataclass
-class DomainSpec:
-    """Domain length, boundary condition, and target resolved wavenumber."""
-
-    L: float
-    bc: str = PERIODIC
-    k_max_target: float = DEFAULT_K_MAX
-
-    def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("domain length L must be positive")
-        if self.bc not in (PERIODIC, ODD_PERIODIC):
-            raise ValueError(f"bc must be {PERIODIC!r} or {ODD_PERIODIC!r}")
-        min_k = (2 * np.pi if self.bc == PERIODIC else np.pi) / self.L
-        if self.k_max_target < min_k:
-            raise ValueError(
-                f"k_max_target={self.k_max_target:g} resolves no mode on L={self.L:g} "
-                f"(need >= {min_k:g})")
 
 
 def _next_fast_len(target):
@@ -88,14 +69,12 @@ class PeriodicSpectralModel:
     #: the arrays that depend on L, stacked per member by :func:`stack_models`
     PER_DOMAIN = ("k", "_half_k", "stiff_linear_part")
 
-    def __init__(self, spec, n_modes=None):
-        L = spec.L
+    def __init__(self, L, k_max=DEFAULT_K_MAX, n_modes=None):
         if n_modes is None:
-            n_modes = int(np.ceil(spec.k_max_target * L / (2 * np.pi)))
+            n_modes = int(np.ceil(k_max * L / (2 * np.pi)))
         if n_modes < 4:
             raise ResolutionTooCoarse(
-                f"n_modes={n_modes} < 4 for L={L:g}, k_max={spec.k_max_target:g}")
-        self.spec = spec
+                f"n_modes={n_modes} < 4 for L={L:g}, k_max={k_max:g}")
         self.L = L
         self.n_modes = n_modes
         self.dim = 2 * n_modes + 1
@@ -107,17 +86,6 @@ class PeriodicSpectralModel:
         self.stiff_linear_part = np.concatenate([growth, growth[1:]])
         self._half_k = 0.5 * self.k
         self._inv_grid_size = 1.0 / self.grid_size
-
-    def pack(self, coeffs):
-        """Complex spectrum (..., n+1) -> real state (..., 2n+1)."""
-        return np.concatenate([coeffs.real, coeffs[..., 1:].imag], axis=-1)
-
-    def unpack(self, state):
-        """Real state (..., 2n+1) -> complex spectrum (..., n+1)."""
-        n = self.n_modes
-        coeffs = state[..., : n + 1].astype(complex)
-        coeffs[..., 1:] += 1j * state[..., n + 1 :]
-        return coeffs
 
     def rhs(self, t, state):
         """(k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state.
@@ -148,19 +116,16 @@ class PeriodicSpectralModel:
         """Evaluate u(x) on a uniform grid; returns (x, u)."""
         if n_points is None:
             n_points = self.grid_size
-        if n_points < 2 * self.n_modes + 1:
+        n = self.n_modes
+        if n_points < 2 * n + 1:
             raise ValueError("n_points too small to represent the retained modes")
-        coeffs = self.unpack(np.atleast_1d(np.asarray(state, dtype=float)))
+        state = np.atleast_1d(np.asarray(state, dtype=float))
+        coeffs = state[..., : n + 1].astype(complex)
+        coeffs[..., 1:] += 1j * state[..., n + 1 :]
         full = np.zeros(n_points // 2 + 1, dtype=complex)
-        full[: self.n_modes + 1] = coeffs * n_points
+        full[: n + 1] = coeffs * n_points
         x = self.L * np.arange(n_points) / n_points
         return x, np.fft.irfft(full, n_points)
-
-    def from_physical(self, u):
-        """Project grid values (uniform, length M) onto the retained modes."""
-        u = np.asarray(u, dtype=float)
-        coeffs = np.fft.rfft(u)[: self.n_modes + 1] / u.size
-        return self.pack(coeffs)
 
     def field_mean(self, state):
         return float(np.asarray(state)[..., 0])
@@ -190,19 +155,17 @@ class OddPeriodicFDModel:
     #: the arrays that depend on L, stacked per member by :func:`stack_models`
     PER_DOMAIN = ("h", "stiff_linear_part")
 
-    def __init__(self, spec, n_interior=None):
-        L = spec.L
+    def __init__(self, L, k_max=DEFAULT_K_MAX, n_interior=None):
         if n_interior is None:
-            n_interior = int(np.ceil(spec.k_max_target * L / np.pi)) - 1
-            while L / (n_interior + 1) > np.pi / spec.k_max_target:
+            n_interior = int(np.ceil(k_max * L / np.pi)) - 1
+            while L / (n_interior + 1) > np.pi / k_max:
                 n_interior += 1
-        self.spec = spec
         self.L = L
         self.n = n_interior
         self.h = L / (n_interior + 1)
-        if self.h > np.pi / spec.k_max_target:
+        if self.h > np.pi / k_max:
             raise ResolutionTooCoarse(
-                f"h={self.h:g} > pi/k_max={np.pi / spec.k_max_target:g}")
+                f"h={self.h:g} > pi/k_max={np.pi / k_max:g}")
         self.dim = n_interior
         self.x = self.h * np.arange(1, n_interior + 1)
         j = np.arange(1, n_interior + 1)
@@ -245,11 +208,20 @@ class OddPeriodicFDModel:
             crank_nicolson=True, label=f"ks-odd(L={self.L:g},n={self.n})")
 
 
-def make_model(spec, **kwargs):
-    """The spatial model for ``spec.bc``; ``.build_system()`` gives its ODE."""
-    if spec.bc == PERIODIC:
-        return PeriodicSpectralModel(spec, **kwargs)
-    return OddPeriodicFDModel(spec, **kwargs)
+def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
+    """The spatial model of boundary condition ``bc`` on a domain of length L,
+    resolving wavenumbers up to ``k_max`` (or with the given ``n_modes`` or
+    ``n_interior``); ``.build_system()`` gives its ODE."""
+    if not L > 0:
+        raise ValueError("domain length L must be positive")
+    if bc not in (PERIODIC, ODD_PERIODIC):
+        raise ValueError(f"bc must be {PERIODIC!r} or {ODD_PERIODIC!r}")
+    min_k = (2 * np.pi if bc == PERIODIC else np.pi) / L
+    if k_max < min_k:
+        raise ValueError(f"k_max_target={k_max:g} resolves no mode on L={L:g} "
+                         f"(need >= {min_k:g})")
+    model = PeriodicSpectralModel if bc == PERIODIC else OddPeriodicFDModel
+    return model(L, k_max, **resolution)
 
 
 def stack_models(models):

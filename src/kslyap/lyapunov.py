@@ -69,7 +69,6 @@ class LyapunovResult:
     exponents: np.ndarray          # sorted non-increasing, (..., m)
     logR_history: np.ndarray       # (..., N, m), log R_ii per interval, unsorted
     final_state: np.ndarray        # (..., dim)
-    config_echo: LyapunovConfig
     wall_time: float
 
 
@@ -171,7 +170,7 @@ def compute_spectrum(system, cfg, u0=None):
     exponents = np.sort(logR.sum(axis=-2) / (cfg.N * cfg.T))[..., ::-1]
     return LyapunovResult(
         exponents=exponents, logR_history=logR, final_state=u,
-        config_echo=cfg, wall_time=time.perf_counter() - t_start)
+        wall_time=time.perf_counter() - t_start)
 
 
 def scan_reorthonormalization_interval(system, cfg, T_values):

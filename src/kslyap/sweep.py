@@ -36,8 +36,7 @@ import numpy as np
 from . import analysis
 from .dynamics import initial_state
 from .errors import RUN_FAILURES, FingerprintMismatch
-from .ks import (DomainSpec, make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC,
-                 PERIODIC)
+from .ks import make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
 from .lyapunov import LyapunovConfig, compute_spectrum
 
 #: Each boundary condition's numerics, merged into every fingerprint payload:
@@ -62,7 +61,6 @@ NONCHAOTIC_THRESHOLD = 0.005
 GROUP_ROWS = 52
 
 FLAG_OK = "ok"
-FLAGS = ("nonchaotic", "unsaturated", "failed")
 
 
 @dataclass
@@ -100,10 +98,7 @@ class SweepPlan:
             raise ValueError("dL must be positive and workers >= 1")
 
     def grid(self):
-        n = int(math.floor((self.L_end - self.L_start) / self.dL + 0.5)) + 1
-        values = self.L_start + self.dL * np.arange(n)
-        values = values[values <= self.L_end + 1e-6 * self.dL]
-        return np.round(values, 10)
+        return analysis._grid(self.L_start, self.dL, self.L_end)
 
     def point_seed(self, index):
         """Deterministic per-point seed: hash of (base seed, bc, grid index)."""
@@ -216,14 +211,10 @@ def spectrum_record(L, bc, seed, exponents):
                           dky=ky.dimension, j=ky.j, flags=frozenset(flags))
 
 
-def _model(bc, L, k_max):
-    return make_model(DomainSpec(L=L, bc=bc, k_max_target=k_max))
-
-
 def compute_point(bc, L, k_max, lyap, seed):
     """Compute one SpectrumRecord; a run failure (:data:`RUN_FAILURES`) is
     captured in the flags, any other error raised."""
-    system = _model(bc, L, k_max).build_system()
+    system = make_model(bc, L, k_max).build_system()
     try:
         result = compute_spectrum(system, replace(lyap, seed=seed))
     except RUN_FAILURES:
@@ -243,7 +234,7 @@ def compute_group(bc, Ls, k_max, lyap, seeds):
     """
     if len(Ls) == 1:
         return [compute_point(bc, Ls[0], k_max, lyap, seeds[0])]
-    system = stack_models([_model(bc, L, k_max) for L in Ls])
+    system = stack_models([make_model(bc, L, k_max) for L in Ls])
     u0 = np.stack([initial_state(system.dim, seed) for seed in seeds])
     try:
         result = compute_spectrum(system, lyap, u0)
@@ -343,7 +334,7 @@ def _groups(plan, todo):
                       math.ceil(len(todo) / plan.workers)))
     groups, dim = [], None
     for idx, L in todo:
-        point_dim = _model(plan.bc, float(L), plan.k_max).dim
+        point_dim = make_model(plan.bc, float(L), plan.k_max).dim
         if point_dim != dim or len(groups[-1]) == size:
             groups.append([])
             dim = point_dim

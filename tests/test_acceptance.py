@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, LyapunovConfig, SweepPlan,
+from kslyap import (LyapunovConfig, SweepPlan,
                     compute_spectrum, diagonal_linear_system, fit_dky_linear,
                     fit_power_law, kaplan_yorke, lorenz_system, make_model,
                     read_records, reorthonormalize, run_sweep,
@@ -39,28 +39,30 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def cache_path(stem, spec, cfg, **extra):
-    """Cache file of a result: a readable stem plus the first 12 hex digits of
-    the fingerprint of every setting its numbers depend on."""
-    settings = {**spectrum_settings(spec.bc, spec.k_max_target, cfg),
-                "L": spec.L, "seed": cfg.seed, **extra}
+def cache_path(stem, domain, cfg, **extra):
+    """Cache file of a result on ``domain``, ``(bc, L, k_max)``: a readable stem
+    plus the first 12 hex digits of the fingerprint of every setting its
+    numbers depend on."""
+    bc, L, k_max = domain
+    settings = {**spectrum_settings(bc, k_max, cfg), "L": L, "seed": cfg.seed, **extra}
     return os.path.join(CACHE, f"{stem}_{fingerprint(settings)[:12]}.json")
 
 
 def spectrum_job(bc, L, m, dt=0.05, seed=0, N=1000, T=2.0, tau=2000.0, k_max=9.0):
-    """Domain, configuration and cache file of a production KS spectrum."""
-    spec = DomainSpec(L=L, bc=bc, k_max_target=k_max)
+    """Domain ``(bc, L, k_max)``, configuration and cache file of a production
+    KS spectrum."""
+    domain = (bc, L, k_max)
     cfg = LyapunovConfig(m=m, tau=tau, T=T, N=N, epsilon=1e-6, seed=seed, dt=dt)
-    return spec, cfg, cache_path(f"{bc}_L{L:g}_m{m}_dt{dt:g}", spec, cfg)
+    return domain, cfg, cache_path(f"{bc}_L{L:g}_m{m}_dt{dt:g}", domain, cfg)
 
 
 def ks_spectrum(bc, L, m, **kwargs):
     """Spectrum of the KS system at production parameters, disk-cached."""
-    spec, cfg, path = spectrum_job(bc, L, m, **kwargs)
+    domain, cfg, path = spectrum_job(bc, L, m, **kwargs)
     if os.path.exists(path):
         with open(path) as fh:
             return np.array(json.load(fh)["exponents"])
-    result = compute_spectrum(make_model(spec).build_system(), cfg)
+    result = compute_spectrum(make_model(*domain).build_system(), cfg)
     with open(path, "w") as fh:
         json.dump({"exponents": result.exponents.tolist(),
                    "wall_time": result.wall_time}, fh)
@@ -236,7 +238,7 @@ def test_dimension_recompute_invariant(tmp_path):
 
 def test_mean_conservation_invariant():
     from kslyap import PeriodicSpectralModel, initial_state, integrate
-    model = PeriodicSpectralModel(DomainSpec(L=36.0))
+    model = PeriodicSpectralModel(36.0)
     u0 = initial_state(model.dim, 3)
     u = integrate(model.build_system(), u0, 0.0, 100.0, 0.05)
     drift = abs(model.field_mean(u) - model.field_mean(u0))
@@ -269,13 +271,13 @@ def test_step_halving_stability():
 
 def test_T_scan_odd_L100():
     T_values = [2.0, 5.0, 10.0]
-    spec, cfg, _ = spectrum_job("odd", 100.0, m=24)
-    path = cache_path("tscan_odd_L100", spec, cfg, T_scan=T_values)
+    domain, cfg, _ = spectrum_job("odd", 100.0, m=24)
+    path = cache_path("tscan_odd_L100", domain, cfg, T_scan=T_values)
     if os.path.exists(path):
         with open(path) as fh:
             rows = np.array(json.load(fh)["rows"])
     else:
-        system = make_model(spec).build_system()
+        system = make_model(*domain).build_system()
         _, rows = scan_reorthonormalization_interval(system, cfg, T_values)
         with open(path, "w") as fh:
             json.dump({"rows": rows.tolist()}, fh)

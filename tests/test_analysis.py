@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kslyap import (EmptyWindow, InsufficientData, SingularNormalEquations,
-                    WindowedStat, estimate_j_zero, fit_dky_linear, fit_power_law,
-                    kaplan_yorke, mean_abs_deviation, predict_exponent,
-                    scan_exponent_p, windowed_median_mad)
+                    WindowedStat, fit_dky_linear, fit_power_law, kaplan_yorke,
+                    mean_abs_deviation, scan_exponent_p, windowed_median_mad)
 from kslyap.analysis import default_p_grid
+
+
+def model_exponent(i, L):
+    """A synthetic periodic spectrum: lambda_i(L) = 0.093 - 0.94 (i - 0.39) / L."""
+    return 0.093 - 0.94 * (i - 0.39) / L
 
 
 class Rec:
@@ -107,7 +111,7 @@ def test_window_hand_example():
 
 def test_window_synthetic_model_value():
     Ls = np.round(np.arange(74.0, 76.0001, 0.1), 10)
-    recs = [Rec(L, [predict_exponent(1, L)]) for L in Ls]
+    recs = [Rec(L, [model_exponent(1, L)]) for L in Ls]
     stat = windowed_median_mad(recs, 75.0, 1)
     assert stat.count == 21
     assert stat.median == pytest.approx(0.093 - 0.94 * 0.61 / 75.0, abs=1e-12)
@@ -203,6 +207,7 @@ def test_default_p_grid_matches_figure_range():
     assert grid[0] == pytest.approx(0.02)
     assert grid[-1] == pytest.approx(2.0)
     assert np.allclose(np.diff(grid), 0.02)
+    assert grid.tobytes() == np.round(np.arange(1, 101) * 0.02, 10).tobytes()
 
 
 # --- D_KY vs L ---
@@ -226,23 +231,14 @@ def test_dky_fit_insufficient():
         fit_dky_linear([Rec(90.0, dky=20.0)], L_min=80.0)
 
 
-# --- closed-form predictors ---
-
-def test_predict_exponent_value():
-    assert predict_exponent(1, 94.0) == pytest.approx(0.093 - 0.94 * 0.61 / 94.0, abs=1e-12)
-    assert predict_exponent(1, 94.0) == pytest.approx(0.08690, abs=1e-5)
-
-
-def test_estimate_j_zero():
-    assert estimate_j_zero(100.0) == pytest.approx(19.8)
-    assert estimate_j_zero(1.0) == pytest.approx(0.0)
-
+# --- synthetic spectra ---
 
 @pytest.mark.parametrize("L", [60.0, 80.0, 100.0])
 def test_j_zero_consistent_with_ky_index(L):
-    lam = np.array([predict_exponent(i, L) for i in range(1, 61)])
+    # the synthetic spectrum's partial sums cross zero near i = 0.2 L - 0.2
+    lam = np.array([model_exponent(i, L) for i in range(1, 61)])
     res = kaplan_yorke(lam)
-    assert abs(res.j - estimate_j_zero(L)) <= 1.0
+    assert abs(res.j - (0.2 * L - 0.2)) <= 1.0
 
 
 def test_mean_abs_deviation():

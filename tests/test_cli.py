@@ -50,6 +50,15 @@ def test_simulate_row_count_and_grid(tmp_path, capsys):
     assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_simulate_writes_no_sample_past_t_end(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    code, _, _ = run(["simulate", "--L", "22", "--t-end", "1.1", "--dt-out", "0.4",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    data = [ln for ln in out.read_text().split("\n") if ln and not ln.startswith("#")]
+    assert [float(ln.split(",")[0]) for ln in data[1:]] == [0.0, 0.4, 0.8]
+
+
 def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
     # each output interval is walked from t = 0; a blow-up in the third one,
     # 0.25 into it, is reported at t = 2.25
@@ -299,6 +308,17 @@ def test_fit_recovers_planted_power_law(tmp_path, capsys):
     stats = [ln for ln in (tmp_path / "fit_stats.csv").read_text().split("\n")
              if ln and not ln.startswith("#") and not ln.startswith("L,")]
     assert len(stats) == 5 * 6
+
+
+def test_fit_scans_no_p_past_the_grid_end(tmp_path, capsys):
+    results = tmp_path / "synth.csv"
+    _write_synthetic_sweep(results)
+    code, _, _ = run(["fit", "--results", str(results), "--p-grid", "0.1:0.35:1.0",
+                      "--out", str(tmp_path / "fit")], capsys)
+    assert code == 0
+    pscan = [ln for ln in (tmp_path / "fit_pscan.csv").read_text().split("\n")
+             if ln and not ln.startswith("#") and not ln.startswith("p,")]
+    assert [float(ln.split(",")[0]) for ln in pscan] == [0.1, 0.45, 0.8]
 
 
 @pytest.mark.parametrize("grid", ["0:0:2", "2:0.02:1"])

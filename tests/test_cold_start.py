@@ -82,8 +82,8 @@ print(json.dumps({{"loaded": loaded, "equal": ours == theirs}}))
 def test_periodic_grid_size_at_L22_and_L100(tmp_path):
     code = f"""
 import json, sys
-from kslyap import DomainSpec, make_model
-sizes = [make_model(DomainSpec(L=L)).grid_size for L in (22.0, 100.0)]
+from kslyap import make_model
+sizes = [make_model("periodic", L).grid_size for L in (22.0, 100.0)]
 print(json.dumps({{"sizes": sizes, "loaded": {SCIPY_LOADED}}}))
 """
     got = fresh(code, tmp_path)

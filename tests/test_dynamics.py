@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
+from kslyap import (DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
                     compute_spectrum, diagonal_linear_system, initial_state, integrate,
                     lorenz_system, make_model, stack_models)
 from kslyap import cli, dynamics
@@ -138,8 +138,8 @@ def test_step_count_walks_whole_steps_away_from_zero():
 
 
 def test_simulate_walks_no_remainder_step(tmp_path, monkeypatch, capsys):
-    # `kslyap simulate --dt 0.05 --dt-out 0.3 --t-end 500` walks 1667 output
-    # intervals of six steps each
+    # `kslyap simulate --dt 0.05 --dt-out 0.3 --t-end 500` walks 1666 output
+    # intervals of six steps each, up to t = 499.8 (none past t_end)
     walks = []
 
     def record(system, state, t0, t1, dt):
@@ -149,7 +149,7 @@ def test_simulate_walks_no_remainder_step(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "integrate", record)
     assert cli.main(["simulate", "--L", "22", "--dt", "0.05", "--dt-out", "0.3",
                      "--t-end", "500", "--out", str(tmp_path / "sim.csv")]) == 0
-    assert len(walks) == 1667 and set(walks) == {(6, 0.0)}
+    assert len(walks) == 1666 and set(walks) == {(6, 0.0)}
 
 
 def test_simulate_builds_one_remainder_stepper(tmp_path, monkeypatch, capsys):
@@ -181,7 +181,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bc", ["periodic", "odd"])
 def test_ks_system_steps_with_its_numerics_scheme(bc):
-    system = make_model(DomainSpec(L=22.0, bc=bc)).build_system()
+    system = make_model(bc, 22.0).build_system()
     stepper = make_stepper(system, 0.05)
     expected = _ETDRK4Stepper if bc == "periodic" else _IMEXCNAB2Stepper
     assert type(stepper) is expected
@@ -206,7 +206,7 @@ def test_batched_matches_sequential():
 def test_lockstep_coefficients_are_each_members_own(bc, Ls):
     # a contour mean over a stacked lam rounds otherwise at L=100, so each
     # member's coefficients are built alone
-    models = [make_model(DomainSpec(L=L, bc=bc)) for L in Ls]
+    models = [make_model(bc, L) for L in Ls]
     stacked = make_stepper(stack_models(models), 0.05)
     names = (("e_full", "e_half", "q", "f1", "f2", "f3") if bc == "periodic"
              else ("gain", "inv"))
@@ -227,14 +227,14 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     cfg = LyapunovConfig(m=3, tau=1.0, T=0.5, N=4, dt=0.05)
     labels = []
     for bc in ("periodic", "odd"):
-        system = make_model(DomainSpec(L=22.0, bc=bc)).build_system()
+        system = make_model(bc, 22.0).build_system()
         labels.append(system.label)
         compute_spectrum(system, cfg)
     assert built == [(label, 0.05) for label in labels]
 
 
 def _odd_system():
-    return make_model(DomainSpec(L=22.0, bc="odd")).build_system()
+    return make_model("odd", 22.0).build_system()
 
 
 def test_reused_stepper_restarts_its_history():
@@ -256,7 +256,7 @@ def test_cnab2_step_matches_the_solve_banded_reference(L):
     # the diagonal step in sine coordinates, mapped to the grid, takes the
     # finite-difference step with a banded Crank-Nicolson solve: 40 steps
     # from the Euler step on, twice, with a restart in between
-    model = make_model(DomainSpec(L=L, bc="odd"))
+    model = make_model("odd", L)
     stepper = make_stepper(model.build_system(), 0.05)
     reference = SolveBandedCNAB2(model, 0.05)
     assert type(stepper) is _IMEXCNAB2Stepper

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kslyap import (DomainSpec, LyapunovConfig, OddPeriodicFDModel,
+from kslyap import (LyapunovConfig, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse, compute_spectrum,
                     diagonal_linear_system, initial_state, integrate, lorenz_system,
                     make_model, stack_models)
@@ -13,56 +13,59 @@ DT = 0.05
 
 
 def test_periodic_mode_count_l22():
-    model = PeriodicSpectralModel(DomainSpec(L=22.0))
+    model = PeriodicSpectralModel(22.0)
     assert model.n_modes >= 32
     assert 2 * np.pi * model.n_modes / 22.0 >= 9.0
 
 
 def test_periodic_zero_is_fixed_point():
-    model = PeriodicSpectralModel(DomainSpec(L=22.0))
+    model = PeriodicSpectralModel(22.0)
     assert np.all(model.rhs(0.0, np.zeros(model.dim)) == 0.0)
 
 
 def test_periodic_neutral_wavenumber():
     # on L = 2*pi the first mode has k=1, where k^2 - k^4 = 0
-    model = PeriodicSpectralModel(DomainSpec(L=2 * np.pi))
+    model = PeriodicSpectralModel(2 * np.pi)
     assert model.k[1] == pytest.approx(1.0)
     assert model.stiff_linear_part[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_periodic_too_coarse():
     with pytest.raises(ResolutionTooCoarse):
-        PeriodicSpectralModel(DomainSpec(L=22.0), n_modes=3)
+        PeriodicSpectralModel(22.0, n_modes=3)
 
 
 def test_odd_grid_count_l18():
-    model = OddPeriodicFDModel(DomainSpec(L=18.0, bc="odd"))
+    model = OddPeriodicFDModel(18.0)
     assert model.n >= 51
     assert model.h <= np.pi / 9.0
 
 
 def test_odd_zero_is_fixed_point():
-    model = OddPeriodicFDModel(DomainSpec(L=18.0, bc="odd"))
+    model = OddPeriodicFDModel(18.0)
     assert np.all(model.rhs(0.0, np.zeros(model.dim)) == 0.0)
 
 
 def test_odd_too_coarse():
     with pytest.raises(ResolutionTooCoarse):
-        OddPeriodicFDModel(DomainSpec(L=18.0, bc="odd"), n_interior=20)
+        OddPeriodicFDModel(18.0, n_interior=20)
 
 
-def test_domain_spec_validation():
-    with pytest.raises(ValueError):
-        DomainSpec(L=-1.0)
-    with pytest.raises(ValueError):
-        DomainSpec(L=0.1, k_max_target=9.0)  # 2*pi/L > k_max
-    with pytest.raises(ValueError):
-        DomainSpec(L=22.0, bc="rigid")
+def test_make_model_validation():
+    with pytest.raises(ValueError, match="L must be positive"):
+        make_model("periodic", -1.0)
+    with pytest.raises(ValueError, match="resolves no mode"):
+        make_model("periodic", 0.1, k_max=9.0)  # 2*pi/L > k_max
+    with pytest.raises(ValueError, match="resolves no mode"):
+        make_model("odd", 0.3, k_max=9.0)  # pi/L > k_max
+    make_model("odd", 0.4, k_max=9.0, n_interior=1)  # pi/L <= k_max
+    with pytest.raises(ValueError, match="bc must be"):
+        make_model("rigid", 22.0)
 
 
 def _sine_mode_rate(n_interior):
     """FD eigenvalue of the slowest sine mode on L = 2*pi."""
-    model = OddPeriodicFDModel(DomainSpec(L=2 * np.pi, bc="odd"), n_interior=n_interior)
+    model = OddPeriodicFDModel(2 * np.pi, n_interior=n_interior)
     amp = 1e-8
     u = amp * np.sin(np.pi * model.x / model.L)
     return np.mean(to_grid(model.rhs(0.0, to_grid(u))) / u)
@@ -87,9 +90,9 @@ def test_starting_frames(monkeypatch):
 
     propagate = lyapunov.propagate_frame
     monkeypatch.setattr(lyapunov, "propagate_frame", spy)
-    model = OddPeriodicFDModel(DomainSpec(L=41.0, bc="odd"))
+    model = OddPeriodicFDModel(41.0)
     systems = [(model.build_system(), 12, 0.05),
-               (PeriodicSpectralModel(DomainSpec(L=22.0)).build_system(), 2, 0.05),
+               (PeriodicSpectralModel(22.0).build_system(), 2, 0.05),
                (lorenz_system(), 2, 0.005),
                (diagonal_linear_system([0.3, -0.1, -2.0]), 2, 0.01)]
     for system, m, dt in systems:
@@ -106,7 +109,7 @@ def test_starting_frames(monkeypatch):
 @pytest.mark.parametrize("bc, Ls", [("periodic", [21.7, 21.8, 22.0]),
                                      ("odd", [41.0, 41.05])])
 def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
-    models = [make_model(DomainSpec(L=L, bc=bc)) for L in Ls]
+    models = [make_model(bc, L) for L in Ls]
     system = stack_models(models)
     assert system.stiff_linear_part.shape == (len(Ls), 1, system.dim)
     block = np.stack([[initial_state(system.dim, 10 * g + r) for r in range(3)]
@@ -120,13 +123,13 @@ def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
     [("periodic", 21.7), ("periodic", 23.0)], [("odd", 41.0), ("odd", 41.5)],
     [("periodic", 11.0), ("odd", 11.7)]])  # the last two both have dim 33
 def test_stack_models_refuses_members_of_another_dimension_or_model(members):
-    models = [make_model(DomainSpec(L=L, bc=bc)) for bc, L in members]
+    models = [make_model(bc, L) for bc, L in members]
     with pytest.raises(ValueError, match="cannot stack"):
         stack_models(models)
 
 
 def test_initial_condition_determinism():
-    dim = PeriodicSpectralModel(DomainSpec(L=36.0)).dim
+    dim = PeriodicSpectralModel(36.0).dim
     a = initial_state(dim, 0)
     b = initial_state(dim, 0)
     assert np.array_equal(a, b)
@@ -136,7 +139,7 @@ def test_initial_condition_determinism():
 
 
 def test_initial_condition_moments():
-    dim = PeriodicSpectralModel(DomainSpec(L=100.0)).dim
+    dim = PeriodicSpectralModel(100.0).dim
     samples = np.concatenate([initial_state(dim, s) for s in range(35)])
     assert samples.size >= 10_000
     assert abs(samples.mean()) < 0.05
@@ -144,15 +147,20 @@ def test_initial_condition_moments():
 
 
 def test_field_mean_constant_and_sine():
-    model = PeriodicSpectralModel(DomainSpec(L=22.0))
-    x = model.L * np.arange(model.grid_size) / model.grid_size
-    assert model.field_mean(model.from_physical(np.full(model.grid_size, 2.5))) == pytest.approx(2.5)
-    assert model.field_mean(model.from_physical(np.sin(2 * np.pi * x / model.L))) == pytest.approx(0.0, abs=1e-15)
+    model = PeriodicSpectralModel(22.0)
+    constant = np.zeros(model.dim)
+    constant[0] = 2.5
+    sine = np.zeros(model.dim)
+    sine[model.n_modes + 1] = -0.5  # Im c_1: u = sin(2 pi x / L)
+    _, u = model.to_physical(constant)
+    assert model.field_mean(constant) == 2.5 and np.allclose(u, 2.5, rtol=0, atol=1e-14)
+    x, u = model.to_physical(sine)
+    assert np.allclose(u, np.sin(2 * np.pi * x / model.L), rtol=0, atol=1e-14)
+    assert model.field_mean(sine) == 0.0 and abs(np.mean(u)) < 1e-15
 
 
 def test_periodic_mean_conservation():
-    spec = DomainSpec(L=36.0)
-    model = PeriodicSpectralModel(spec)
+    model = PeriodicSpectralModel(36.0)
     u0 = initial_state(model.dim, 3)
     u = integrate(model.build_system(), u0, 0.0, 100.0, DT)
     assert abs(model.field_mean(u) - model.field_mean(u0)) < 1e-6
@@ -160,8 +168,7 @@ def test_periodic_mean_conservation():
 
 def test_periodic_preserves_odd_symmetry():
     # odd initial data (purely imaginary spectrum, zero mean) stays odd
-    spec = DomainSpec(L=22.0)
-    model = PeriodicSpectralModel(spec)
+    model = PeriodicSpectralModel(22.0)
     rng = np.random.default_rng(7)
     state = np.zeros(model.dim)
     state[model.n_modes + 1:] = 0.3 * rng.standard_normal(model.n_modes) * np.exp(
@@ -174,8 +181,7 @@ def test_periodic_preserves_odd_symmetry():
 
 @pytest.mark.parametrize("j", [2, 3, 4])
 def test_linear_dispersion_periodic(j):
-    spec = DomainSpec(L=22.0)
-    model = PeriodicSpectralModel(spec)
+    model = PeriodicSpectralModel(22.0)
     state = np.zeros(model.dim)
     state[j] = 1e-6  # Re c_j
     u = integrate(model.build_system(), state, 0.0, 1.0, DT)
@@ -186,8 +192,7 @@ def test_linear_dispersion_periodic(j):
 
 @pytest.mark.parametrize("j", [2, 3, 4])
 def test_linear_dispersion_odd(j):
-    spec = DomainSpec(L=18.0, bc="odd")
-    model = OddPeriodicFDModel(spec)
+    model = OddPeriodicFDModel(18.0)
     k = np.pi * j / model.L
     state = 1e-6 * np.sin(k * model.x)
     a = integrate(model.build_system(), to_grid(state), 0.0, 1.0, DT)
@@ -196,9 +201,8 @@ def test_linear_dispersion_odd(j):
 
 
 def test_periodic_refinement_consistency():
-    spec = DomainSpec(L=22.0)
-    coarse = PeriodicSpectralModel(spec)
-    fine = PeriodicSpectralModel(spec, n_modes=2 * coarse.n_modes)
+    coarse = PeriodicSpectralModel(22.0)
+    fine = PeriodicSpectralModel(22.0, n_modes=2 * coarse.n_modes)
     u0 = initial_state(coarse.dim, 5)
     fine_u0 = np.zeros(fine.dim)
     fine_u0[: coarse.n_modes + 1] = u0[: coarse.n_modes + 1]
@@ -212,8 +216,7 @@ def test_periodic_refinement_consistency():
 
 
 def test_odd_boundary_invariants_hold():
-    spec = DomainSpec(L=18.0, bc="odd")
-    model = OddPeriodicFDModel(spec)
+    model = OddPeriodicFDModel(18.0)
     u0 = initial_state(model.dim, 1)
     u = integrate(model.build_system(), u0, 0.0, 20.0, DT)
     x, full = model.to_physical(u)
@@ -239,7 +242,7 @@ def _complex_rhs(model, state):
 
 @pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0])
 def test_periodic_rhs_matches_the_complex_formula(L):
-    model = PeriodicSpectralModel(DomainSpec(L=L))
+    model = PeriodicSpectralModel(L)
     rng = np.random.default_rng(int(10 * L))
     for rows in (1, 13, 25):
         block = rng.standard_normal((rows, model.dim))
@@ -251,7 +254,7 @@ def test_periodic_rhs_matches_the_complex_formula(L):
 
 @pytest.mark.parametrize("L", [22.0, 100.0])
 def test_etdrk4_step_matches_the_textbook_expression(L):
-    system = PeriodicSpectralModel(DomainSpec(L=L)).build_system()
+    system = PeriodicSpectralModel(L).build_system()
     stepper = _ETDRK4Stepper(system, DT)
     E, E2, Q = stepper.e_full, stepper.e_half, stepper.q
     f1, f2, f3, lam = stepper.f1, stepper.f2, stepper.f3, system.stiff_linear_part
@@ -281,7 +284,7 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
 
 @pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
 def test_odd_linear_part_is_the_fd_matrix_in_sine_coordinates(L):
-    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    model = OddPeriodicFDModel(L)
     S = to_grid(np.eye(model.n), axis=0)
     SAS = S @ (linear_matrix(model) @ S)
     lam = model.stiff_linear_part
@@ -290,7 +293,7 @@ def test_odd_linear_part_is_the_fd_matrix_in_sine_coordinates(L):
 
 @pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
 def test_odd_rhs_matches_the_stencil_formula(L):
-    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    model = OddPeriodicFDModel(L)
     rng = np.random.default_rng(int(10 * L))
     for rows in (1, 13, 25):
         u = rng.standard_normal((rows, model.dim))
@@ -307,7 +310,7 @@ def test_odd_rhs_matches_the_stencil_formula(L):
 @pytest.mark.parametrize("L", [17.5, 100.0])
 def test_odd_step_matches_the_textbook_expression(L):
     # bit for bit: the cached odd spectra depend on this order of operations
-    model = OddPeriodicFDModel(DomainSpec(L=L, bc="odd"))
+    model = OddPeriodicFDModel(L)
     system = model.build_system()
     stepper = _IMEXCNAB2Stepper(system, DT)
     lam, n, h = model.stiff_linear_part, model.n, model.h

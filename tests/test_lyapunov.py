@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslyap import (DomainSpec, DynamicalSystem, LyapunovConfig,
+from kslyap import (DynamicalSystem, LyapunovConfig,
                     RankDeficient, burn_in, compute_spectrum, diagonal_linear_system,
                     initial_state, lorenz_system, make_model, propagate_frame,
                     reorthonormalize, scan_reorthonormalization_interval,
@@ -177,7 +177,7 @@ def test_config_validation():
 def test_a_stack_of_starts_equals_the_single_runs(bc, L):
     # K seeds of one system in lockstep: one (K, 1, dim) burn-in, one
     # (K, m+1, dim) block and one stacked QR per interval
-    system = make_model(DomainSpec(L=L, bc=bc)).build_system()
+    system = make_model(bc, L).build_system()
     cfg = LyapunovConfig(m=4, tau=5.0, T=0.5, N=6, epsilon=1e-6, dt=0.05)
     u0 = np.stack([initial_state(system.dim, seed) for seed in range(3)])
     together = compute_spectrum(system, cfg, u0)
@@ -190,7 +190,7 @@ def test_a_stack_of_starts_equals_the_single_runs(bc, L):
 
 
 def test_a_lockstep_system_needs_one_start_per_member():
-    models = [make_model(DomainSpec(L=L)) for L in (21.8, 22.0)]
+    models = [make_model("periodic", L) for L in (21.8, 22.0)]
     cfg = LyapunovConfig(m=2, tau=0.0, T=0.5, N=1, dt=0.05)
     with pytest.raises(ValueError, match="2 members"):
         compute_spectrum(stack_models(models), cfg)
