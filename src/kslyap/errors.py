@@ -15,6 +15,10 @@ class IntegrationBlowUp(KslyapError):
         self.time = float(time)
         super().__init__(message or f"integration blew up at t={self.time:g}")
 
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the message, not the time
+        return type(self), (self.time, str(self)), self.__dict__
+
 
 class ResolutionTooCoarse(KslyapError):
     """Spatial discretization cannot resolve the requested maximum wavenumber."""

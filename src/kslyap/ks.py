@@ -208,14 +208,19 @@ class OddPeriodicFDModel:
             crank_nicolson=True, label=f"ks-odd(L={self.L:g},n={self.n})")
 
 
+def check_bc(bc):
+    """Refuse a boundary condition that is neither periodic nor odd."""
+    if bc not in (PERIODIC, ODD_PERIODIC):
+        raise ValueError(f"bc must be {PERIODIC!r} or {ODD_PERIODIC!r}")
+
+
 def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
     """The spatial model of boundary condition ``bc`` on a domain of length L,
     resolving wavenumbers up to ``k_max`` (or with the given ``n_modes`` or
     ``n_interior``); ``.build_system()`` gives its ODE."""
     if not L > 0:
         raise ValueError("domain length L must be positive")
-    if bc not in (PERIODIC, ODD_PERIODIC):
-        raise ValueError(f"bc must be {PERIODIC!r} or {ODD_PERIODIC!r}")
+    check_bc(bc)
     min_k = (2 * np.pi if bc == PERIODIC else np.pi) / L
     if k_max < min_k:
         raise ValueError(f"k_max_target={k_max:g} resolves no mode on L={L:g} "

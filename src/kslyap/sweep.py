@@ -36,7 +36,8 @@ import numpy as np
 from . import analysis
 from .dynamics import initial_state
 from .errors import RUN_FAILURES, FingerprintMismatch
-from .ks import make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
+from .ks import (check_bc, make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC,
+                 PERIODIC)
 from .lyapunov import LyapunovConfig, compute_spectrum
 
 #: Each boundary condition's numerics, merged into every fingerprint payload:
@@ -96,6 +97,7 @@ class SweepPlan:
             raise ValueError("L_start must be <= L_end")
         if not self.dL > 0 or self.workers < 1:
             raise ValueError("dL must be positive and workers >= 1")
+        check_bc(self.bc)
 
     def grid(self):
         return analysis._grid(self.L_start, self.dL, self.L_end)

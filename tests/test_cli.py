@@ -249,6 +249,13 @@ def test_sweep_configuration_error_is_an_error_not_a_failed_row(tmp_path, capsys
     assert run(sweep, capsys)[::2] == (code, err)
 
 
+def test_sweep_refuses_an_unknown_bc_before_writing_a_file(tmp_path, capsys):
+    code, out, err = run(["sweep", "--bc", "rigid", "--L-start", "22", "--L-end", "22",
+                          "--out", str(tmp_path / "s.csv")], capsys)
+    assert (code, out, err) == (1, "", "error: bc must be 'periodic' or 'odd'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_and_dky_round_trip(tmp_path, capsys):
     out = tmp_path / "s.csv"
     # m=4: every row's D_KY saturates, so all three enter the dky fit

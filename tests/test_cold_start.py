@@ -1,6 +1,7 @@
-"""Cold start: the periodic path imports numpy alone, and scipy loads on first
-use.  Each test runs in a fresh interpreter, so a scipy import put back at
-the top of a kslyap module shows up in its ``sys.modules``."""
+"""Cold start: the periodic path imports numpy alone, scipy loads on first
+use, and multiprocessing only when a spectrum starts a row helper.  Each
+test runs in a fresh interpreter, so an import put back at the top of a
+kslyap module shows up in its ``sys.modules``."""
 
 import json
 import os
@@ -49,6 +50,19 @@ print(json.dumps({{"rcs": rcs, "loaded": loaded}}))
     # the dky fit solves its triangular system with scipy.linalg
     assert "scipy.linalg" in got["loaded"]["dky"]
     assert "scipy.fft" not in got["loaded"]["dky"]
+
+
+def test_a_tiny_lyap_loads_no_multiprocessing(tmp_path):
+    # a block too small to split with a row helper imports nothing for one
+    code = f"""
+import contextlib, io, json, sys
+from kslyap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(["lyap", "--bc", bc, "--L", "22"] + {TINY!r})
+           for bc in ("periodic", "odd")]
+print(json.dumps({{"rcs": rcs, "loaded": "multiprocessing" in sys.modules}}))
+"""
+    assert fresh(code, tmp_path) == {"rcs": [0, 0], "loaded": False}
 
 
 def test_odd_lyap_loads_scipy_fft(tmp_path):

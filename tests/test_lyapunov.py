@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+import pickle
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslyap import (DynamicalSystem, LyapunovConfig,
-                    RankDeficient, burn_in, compute_spectrum, diagonal_linear_system,
+from kslyap import (DynamicalSystem, IntegrationBlowUp, KslyapError, LyapunovConfig,
+                    RankDeficient, lyapunov, burn_in, compute_spectrum, diagonal_linear_system,
                     initial_state, lorenz_system, make_model, propagate_frame,
                     reorthonormalize, scan_reorthonormalization_interval,
                     stack_models)
@@ -194,3 +199,176 @@ def test_a_lockstep_system_needs_one_start_per_member():
     cfg = LyapunovConfig(m=2, tau=0.0, T=0.5, N=1, dt=0.05)
     with pytest.raises(ValueError, match="2 members"):
         compute_spectrum(stack_models(models), cfg)
+
+
+# --- the row helper: a forked process steps the last half of each block ---
+
+def _errors(cls=KslyapError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _errors(sub)
+
+
+@pytest.mark.parametrize("cls", list(_errors()), ids=lambda cls: cls.__name__)
+def test_every_error_round_trips_through_pickle(cls):
+    exc = cls(1.25) if cls is IntegrationBlowUp else cls("what went wrong")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc)
+    if cls is IntegrationBlowUp:
+        assert back.time == 1.25
+        exc.args = (f"interval 2/3: {exc}",)
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.time, str(back)) == (1.25, "interval 2/3: integration blew up at t=1.25")
+
+
+two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="a row helper starts only with two usable CPUs")
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Split every spectrum with a row helper; yields the helpers started."""
+    started = []
+
+    class Counted(lyapunov._RowHelper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", 0)
+    monkeypatch.setattr(lyapunov, "_RowHelper", Counted)
+    yield started
+    assert multiprocessing.active_children() == []
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.exponents, b.exponents)
+    assert np.array_equal(a.logR_history, b.logR_history)
+    assert np.array_equal(a.final_state, b.final_state)
+
+
+@two_cpus
+@pytest.mark.parametrize("bc, L, starts", [
+    ("periodic", 22.0, None), ("odd", 41.0, None), ("periodic", 22.0, 3), ("odd", 41.0, 3)])
+def test_a_split_spectrum_is_bit_identical(monkeypatch, helpers, bc, L, starts):
+    # a (dim,) start and a (K, dim) multi-start; m+1 = 6 rows split 3 + 3
+    system = make_model(bc, L).build_system()
+    cfg = LyapunovConfig(m=5, tau=1.0, T=0.5, N=4, epsilon=1e-6, dt=0.05)
+    u0 = None if starts is None else np.stack(
+        [initial_state(system.dim, seed) for seed in range(starts)])
+    split = compute_spectrum(system, cfg, u0)
+    assert len(helpers) == 1
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
+    _assert_same(split, compute_spectrum(system, cfg, u0))
+    assert len(helpers) == 1
+
+
+@two_cpus
+@pytest.mark.parametrize("bc, Ls", [("periodic", (21.8, 22.0, 22.2)), ("odd", (41.0, 41.05))])
+def test_a_split_lockstep_group_is_bit_identical(monkeypatch, helpers, bc, Ls):
+    # a (G, m+1, dim) block, m+1 = 5 rows split 3 + 2
+    system = stack_models([make_model(bc, L) for L in Ls])
+    cfg = LyapunovConfig(m=4, tau=1.0, T=0.5, N=3, epsilon=1e-6, dt=0.05)
+    u0 = np.stack([initial_state(system.dim, seed) for seed in range(len(Ls))])
+    split = compute_spectrum(system, cfg, u0)
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
+    _assert_same(split, compute_spectrum(system, cfg, u0))
+    assert len(helpers) == 1
+
+
+def _exploding_system(rates):
+    # du/dt = rates * u: from u0 = 0 only the rows perturbed along a
+    # coordinate of positive rate grow, and they blow up at their own time
+    rates = np.asarray(rates, dtype=float)
+    return DynamicalSystem(dim=rates.size, rhs=lambda t, u: rates * u)
+
+
+@two_cpus
+@pytest.mark.parametrize("rates", [
+    [0.0, 0.0, 0.0, 900.0],     # only the helper's last row
+    [300.0, 0.0, 0.0, 900.0],   # both halves; the helper's row first
+    [900.0, 0.0, 0.0, 300.0]])  # both halves; the parent's row first
+def test_a_blow_up_in_the_split_raises_as_in_one_process(monkeypatch, helpers, rates):
+    # rows: the base, then u0 + eps e_i; 5 rows, the helper steps the last 2
+    system = _exploding_system(rates)
+    cfg = LyapunovConfig(m=4, tau=0.0, T=1.0, N=2, epsilon=1e-6, dt=0.01)
+    with pytest.raises(IntegrationBlowUp) as split:
+        compute_spectrum(system, cfg, np.zeros(4))
+    assert len(helpers) == 1
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
+    with pytest.raises(IntegrationBlowUp) as alone:
+        compute_spectrum(system, cfg, np.zeros(4))
+    assert str(split.value).startswith("interval 1/2: integration blew up at t=")
+    assert (split.value.time, str(split.value)) == (alone.value.time, str(alone.value))
+
+
+@two_cpus
+def test_an_interrupt_mid_interval_stops_the_helper(helpers):
+    # the helper's half, 15 rows of 600 numbers, is larger than a pipe's
+    # buffer: it may still be in flight when the parent gives up
+    parent = os.getpid()
+    calls = []
+
+    def rhs(t, u):
+        if os.getpid() == parent:
+            calls.append(t)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+        return -u
+
+    system = DynamicalSystem(dim=600, rhs=rhs)
+    cfg = LyapunovConfig(m=29, tau=0.0, T=1.0, N=2, epsilon=1e-6, dt=0.01)
+    with pytest.raises(KeyboardInterrupt):
+        compute_spectrum(system, cfg)
+    assert len(helpers) == 1 and multiprocessing.active_children() == []
+
+
+@two_cpus
+def test_the_helper_ignores_ctrl_c(monkeypatch, helpers):
+    # Ctrl-C reaches the whole foreground process group; the parent alone
+    # acts on it.  The SIGINT goes out in the second interval, after the
+    # helper has answered once.
+    base = make_model("periodic", 22.0).build_system()
+    parent, calls = os.getpid(), []
+
+    def rhs(t, u):
+        if os.getpid() == parent:
+            calls.append(t)
+            if len(calls) == 41:  # 10 ETDRK4 steps of 4 calls per interval
+                os.kill(helpers[0]._process.pid, signal.SIGINT)
+        return base.rhs(t, u)
+
+    system = DynamicalSystem(dim=base.dim, rhs=rhs, stiff_linear_part=base.stiff_linear_part)
+    cfg = LyapunovConfig(m=5, tau=0.0, T=0.5, N=3, epsilon=1e-6, dt=0.05)
+    split = compute_spectrum(system, cfg)
+    assert len(calls) > 41
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
+    _assert_same(split, compute_spectrum(base, cfg))
+
+
+@two_cpus
+def test_the_helpers_warnings_are_issued_by_the_parent(monkeypatch, helpers):
+    # the helper's last row overflows within its first step
+    system = _exploding_system([0.0, 0.0, 0.0, 1e300])
+    cfg = LyapunovConfig(m=4, tau=0.0, T=1.0, N=1, epsilon=1e-6, dt=0.01)
+    shown = []
+    for split in (0, np.inf):
+        monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", split)
+        with pytest.raises(IntegrationBlowUp), pytest.warns(RuntimeWarning) as caught:
+            compute_spectrum(system, cfg, np.zeros(4))
+        shown.append(sorted({str(w.message) for w in caught}))
+    assert len(helpers) == 1 and shown[0] == shown[1]
+
+
+@two_cpus
+def test_a_helper_that_cannot_fork_leaves_the_run_in_one_process(monkeypatch):
+    def no_fork(process):
+        raise OSError("no process to spare")
+
+    system = make_model("periodic", 22.0).build_system()
+    cfg = LyapunovConfig(m=3, tau=1.0, T=0.5, N=2, epsilon=1e-6, dt=0.05)
+    alone = compute_spectrum(system, cfg)
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", 0)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
+    _assert_same(compute_spectrum(system, cfg), alone)

@@ -180,6 +180,20 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert Path(a.output_path).read_text() == Path(b.output_path).read_text()
 
 
+def test_pool_workers_start_no_row_helper(tmp_path, monkeypatch):
+    # every block would split, but a pool worker already shares the cores;
+    # forked workers inherit these patches, so a helper started in one
+    # ends the sweep with the error
+    def no_helper(*args):
+        raise RuntimeError("a pool worker started a row helper")
+
+    monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", 0)
+    monkeypatch.setattr(lyapunov, "_RowHelper", no_helper)
+    plan = tiny_plan(tmp_path, workers=2, L_end=10.4, dL=0.1)
+    assert [len(g) for g in _groups(plan, _todo(plan))] == [3, 2]
+    assert len(run_sweep(plan)) == 5
+
+
 @pytest.mark.parametrize("m, workers, sizes", [
     (12, 1, [4, 3, 3]), (24, 1, [2, 2, 2, 1, 2, 1]), (12, 4, [3, 3, 1, 3]),
     (60, 1, [1] * 10)])
