@@ -9,7 +9,7 @@ N = 1000.
 
 from kslyap import LyapunovConfig, compute_spectrum, kaplan_yorke, make_model
 
-system = make_model("periodic", 22.0).build_system()
+system = make_model("periodic", 22.0)
 cfg = LyapunovConfig(m=10, tau=500.0, T=2.0, N=400, epsilon=1e-6, seed=0, dt=0.05)
 
 result = compute_spectrum(system, cfg)

@@ -13,7 +13,7 @@ from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum
                        scan_reorthonormalization_interval)
 from .analysis import (KaplanYorkeResult, PowerLawFit, WindowedStat,
                        fit_dky_linear, fit_power_law, kaplan_yorke,
-                       mean_abs_deviation, scan_exponent_p, windowed_median_mad)
+                       scan_exponent_p, windowed_median_mad)
 from .sweep import (SpectrumRecord, SweepPlan, compute_group, compute_point,
                     read_records, run_sweep)
 

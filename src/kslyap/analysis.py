@@ -71,7 +71,7 @@ def kaplan_yorke(exponents):
     return KaplanYorkeResult(j=j, dimension=min(dimension, np.nextafter(j + 1, j)))
 
 
-def mean_abs_deviation(values):
+def _mean_abs_deviation(values):
     """Mean absolute deviation about the median."""
     values = np.asarray(values, dtype=float)
     return float(np.mean(np.abs(values - np.median(values))))
@@ -94,7 +94,7 @@ def windowed_median_mad(records, L_center, i, halfwidth=1.0):
                           f"{L_center + halfwidth:g}] with index {i}")
     return WindowedStat(L_center=float(L_center), index=int(i),
                         median=float(np.median(values)),
-                        mad=mean_abs_deviation(values), count=values.size)
+                        mad=_mean_abs_deviation(values), count=values.size)
 
 
 def _lstsq_qr(A, y):
@@ -130,7 +130,7 @@ def fit_power_law(stats, p):
     resid = y - A @ np.array([a, b, c])
     return PowerLawFit(a=float(a), b=float(b), c=float(c), p=float(p),
                        rms_residual=float(np.sqrt(np.mean(resid**2))),
-                       mad_residual=mean_abs_deviation(resid),
+                       mad_residual=_mean_abs_deviation(resid),
                        n_points=len(kept))
 
 

@@ -29,9 +29,6 @@ the explicit part, as a newly built stepper does; results do not depend on
 what the system integrated before.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import IntegrationBlowUp
@@ -40,7 +37,6 @@ from .errors import IntegrationBlowUp
 BLOWUP_NORM = 1e6
 
 
-@dataclass
 class DynamicalSystem:
     """An autonomous ODE  du/dt = rhs(t, u)  on R^dim.
 
@@ -50,31 +46,34 @@ class DynamicalSystem:
     ``crank_nicolson``.  A system that declares no stiff part is run with
     RK4.
 
-    ``stiff_linear_part`` has shape ``(dim,)``, or ``(G, 1, dim)`` for a
-    lockstep system of G members.  ``rhs`` must return a new array: the
-    ETDRK4 and IMEX-CNAB2 steppers update it in place.
+    ``DynamicalSystem(dim, rhs, ...)`` wraps a right-hand-side function; a
+    subclass (the KS models of ``ks``) defines ``rhs`` as a method instead
+    and passes none.  ``stiff_linear_part`` has shape ``(dim,)``, or
+    ``(G, 1, dim)`` for a lockstep system of G members.  ``rhs`` must return
+    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
-    step size, so its operator fields are not to be changed after the first
+    step size, so its operator is not to be changed after the first
     integration.
     """
 
-    dim: int
-    rhs: Callable
-    stiff_linear_part: Optional[np.ndarray] = None
-    label: str = ""
-    crank_nicolson: bool = False
-    _steppers: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    crank_nicolson = False
 
-    def __post_init__(self):
-        if self.dim <= 0:
+    def __init__(self, dim, rhs=None, stiff_linear_part=None, crank_nicolson=False):
+        if dim <= 0:
             raise ValueError("system dimension must be positive")
-        if self.stiff_linear_part is not None:
-            self.stiff_linear_part = np.asarray(self.stiff_linear_part, dtype=float)
-            if self.stiff_linear_part.shape[-1:] != (self.dim,):
+        if rhs is not None:  # a subclass's rhs method is not shadowed
+            self.rhs = rhs
+        if crank_nicolson:
+            self.crank_nicolson = True
+        if stiff_linear_part is not None:
+            stiff_linear_part = np.asarray(stiff_linear_part, dtype=float)
+            if stiff_linear_part.shape[-1:] != (dim,):
                 raise ValueError("stiff_linear_part must have dim entries on its last axis")
         elif self.crank_nicolson:
             raise ValueError("crank_nicolson needs a stiff_linear_part")
+        self.dim = dim
+        self.stiff_linear_part = stiff_linear_part
+        self._steppers = {}
 
     def rhs_batch(self, t, states):
         """Evaluate the RHS for a (..., batch, dim) block of states."""
@@ -263,32 +262,26 @@ def _stepper(system, dt):
     return stepper
 
 
-def _step_count(t0, t1, dt):
-    """Full steps plus optional remainder so the walk lands exactly on t1.
-
-    A span within rounding of a whole number of steps is walked as whole
-    steps.  The span ``t1 - t0`` carries the rounding of t0 and t1, of order
-    eps*max(|t0|, |t1|), so the tolerance on ``span / dt`` scales with
-    ``max(|t0|, |t1|) / dt`` as well as with the ratio; from t0 = 0 the two
-    are the same.
-    """
+def _step_count(span, dt):
+    """Full steps plus optional remainder so a walk of ``span`` lands exactly
+    on its end; a span within rounding of a whole number of steps is walked
+    as whole steps."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    span = t1 - t0
     ratio = span / dt
     n = round(ratio)
-    scale = max(1.0, abs(ratio), max(abs(t0), abs(t1)) / dt)
-    if abs(ratio - n) <= 4 * np.finfo(float).eps * scale:
+    if abs(ratio - n) <= 4 * np.finfo(float).eps * max(1.0, abs(ratio)):
         return int(n), 0.0
     n = int(np.floor(ratio))
     return n, span - n * dt
 
 
-def integrate(system, u0, t0, t1, dt):
-    """Advance u0 from t0 to t1 in fixed steps dt of the system's scheme.
+def integrate(system, u0, t, dt):
+    """Advance u0 over time t in fixed steps dt of the system's scheme.
 
     ``u0`` may be a single state of shape (dim,) or a block of states of any
     leading shape, (batch, dim) or (G, batch, dim), advanced in lockstep.
+    The system is autonomous, so every walk starts its clock at 0.
     Raises IntegrationBlowUp (carrying the failure time) if the state leaves
     the finite / bounded regime.
     """
@@ -297,21 +290,21 @@ def integrate(system, u0, t0, t1, dt):
     u = u0[None].copy() if single else u0.copy()
     if u.shape[-1] != system.dim:
         raise ValueError(f"state length {u.shape[-1]} != system dim {system.dim}")
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if t1 == t0:
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
         return u[0] if single else u
 
-    n_steps, remainder = _step_count(t0, t1, dt)
+    n_steps, remainder = _step_count(t, dt)
     stepper = _stepper(system, dt)
-    t = t0
+    now = 0.0
     for _ in range(n_steps):
-        u = stepper.step(t, u)
-        t += dt
-        _check_finite(u, t)
+        u = stepper.step(now, u)
+        now += dt
+        _check_finite(u, now)
     if remainder > 0:
-        u = _stepper(system, remainder).step(t, u)
-        _check_finite(u, t1)
+        u = _stepper(system, remainder).step(now, u)
+        _check_finite(u, t)
     return u[0] if single else u
 
 
@@ -322,8 +315,7 @@ def lorenz_system(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
         x, y, z = u[..., 0], u[..., 1], u[..., 2]
         return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
 
-    return DynamicalSystem(dim=3, rhs=rhs,
-                           label=f"lorenz(sigma={sigma:g},rho={rho:g},beta={beta:g})")
+    return DynamicalSystem(dim=3, rhs=rhs)
 
 
 def diagonal_linear_system(rates):
@@ -333,5 +325,4 @@ def diagonal_linear_system(rates):
     def rhs(t, u):
         return rates * u
 
-    return DynamicalSystem(dim=rates.size, rhs=rhs,
-                           label="diaglin(" + ",".join(f"{r:g}" for r in rates) + ")")
+    return DynamicalSystem(dim=rates.size, rhs=rhs)

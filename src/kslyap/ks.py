@@ -22,10 +22,11 @@ Two discretizations are provided for the two boundary conditions:
 :func:`make_model` builds the model of a boundary condition on a domain of
 length L; both models resolve wavenumbers up to at least ``k_max``
 (default 9).
-Each model's system declares the diagonal of its stiff linear operator,
-which picks its integrator (``dynamics.make_stepper``): the periodic
-model's ``k^2 - k^4`` runs with ETDRK4, the odd model's finite-difference
-eigenvalues with IMEX-CNAB2 (``crank_nicolson``).
+Each model is a ``dynamics.DynamicalSystem``: it declares the diagonal of
+its stiff linear operator, which picks its integrator
+(``dynamics.make_stepper``): the periodic model's ``k^2 - k^4`` runs with
+ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
+(``crank_nicolson``).
 
 Only the odd model needs scipy: ``scipy.fft.dst`` is imported when the first
 odd model is built, so a periodic run imports numpy alone.
@@ -63,8 +64,8 @@ def _next_fast_len(target):
         n += 1
 
 
-class PeriodicSpectralModel:
-    """Pseudospectral evaluation machinery for the periodic case."""
+class PeriodicSpectralModel(DynamicalSystem):
+    """The periodic KS system, pseudospectral; integrated by ETDRK4."""
 
     #: the arrays that depend on L, stacked per member by :func:`stack_models`
     PER_DOMAIN = ("k", "_half_k", "stiff_linear_part")
@@ -77,13 +78,13 @@ class PeriodicSpectralModel:
                 f"n_modes={n_modes} < 4 for L={L:g}, k_max={k_max:g}")
         self.L = L
         self.n_modes = n_modes
-        self.dim = 2 * n_modes + 1
         # physical grid for the quadratic term; >= 3n+1 makes the retained
         # band alias-free, padded up to an FFT-friendly length
         self.grid_size = _next_fast_len(3 * n_modes + 1)
         self.k = 2 * np.pi * np.arange(n_modes + 1) / L
         growth = self.k**2 - self.k**4
-        self.stiff_linear_part = np.concatenate([growth, growth[1:]])
+        super().__init__(2 * n_modes + 1,
+                         stiff_linear_part=np.concatenate([growth, growth[1:]]))
         self._half_k = 0.5 * self.k
         self._inv_grid_size = 1.0 / self.grid_size
 
@@ -130,15 +131,10 @@ class PeriodicSpectralModel:
     def field_mean(self, state):
         return float(np.asarray(state)[..., 0])
 
-    def build_system(self):
-        return DynamicalSystem(
-            dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
-            label=f"ks-periodic(L={self.L:g},n={self.n_modes})")
 
-
-class OddPeriodicFDModel:
-    """Finite-difference machinery for the odd-periodic case, in sine
-    coordinates.
+class OddPeriodicFDModel(DynamicalSystem):
+    """The odd-periodic KS system, finite differences in sine coordinates;
+    integrated by IMEX-CNAB2 (``crank_nicolson``).
 
     Interior grid x_i = i*h, i = 1..n, h = L/(n+1); boundary values and odd
     reflections handled through ghost points.  The state ``a`` holds the
@@ -155,6 +151,8 @@ class OddPeriodicFDModel:
     #: the arrays that depend on L, stacked per member by :func:`stack_models`
     PER_DOMAIN = ("h", "stiff_linear_part")
 
+    crank_nicolson = True
+
     def __init__(self, L, k_max=DEFAULT_K_MAX, n_interior=None):
         if n_interior is None:
             n_interior = int(np.ceil(k_max * L / np.pi)) - 1
@@ -166,11 +164,10 @@ class OddPeriodicFDModel:
         if self.h > np.pi / k_max:
             raise ResolutionTooCoarse(
                 f"h={self.h:g} > pi/k_max={np.pi / k_max:g}")
-        self.dim = n_interior
         self.x = self.h * np.arange(1, n_interior + 1)
         j = np.arange(1, n_interior + 1)
         mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n_interior + 1)))**2
-        self.stiff_linear_part = -(mu * mu + mu)
+        super().__init__(n_interior, stiff_linear_part=-(mu * mu + mu))
         from scipy.fft import dst
         self._dst = dst
 
@@ -202,11 +199,6 @@ class OddPeriodicFDModel:
         x = self.h * np.arange(self.n + 2)
         return x, np.concatenate([[0.0], u, [0.0]])
 
-    def build_system(self):
-        return DynamicalSystem(
-            dim=self.dim, rhs=self.rhs, stiff_linear_part=self.stiff_linear_part,
-            crank_nicolson=True, label=f"ks-odd(L={self.L:g},n={self.n})")
-
 
 def check_bc(bc):
     """Refuse a boundary condition that is neither periodic nor odd."""
@@ -215,9 +207,9 @@ def check_bc(bc):
 
 
 def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
-    """The spatial model of boundary condition ``bc`` on a domain of length L,
+    """The KS system of boundary condition ``bc`` on a domain of length L,
     resolving wavenumbers up to ``k_max`` (or with the given ``n_modes`` or
-    ``n_interior``); ``.build_system()`` gives its ODE."""
+    ``n_interior``)."""
     if not L > 0:
         raise ValueError("domain length L must be positive")
     check_bc(bc)
@@ -235,8 +227,10 @@ def stack_models(models):
     A copy of the first model takes each member's ``PER_DOMAIN`` arrays,
     stacked to shape ``(G, 1, ...)``, so its ``rhs`` maps a ``(G, rows, dim)``
     block with member g's domain in row block g; each row gets the bits of
-    its own member's ``rhs``.  Members must share their boundary condition
-    and ``dim`` (and the periodic ``grid_size``); others raise ``ValueError``.
+    its own member's ``rhs``, and the copy builds its own steppers, whatever
+    the first model has integrated.  Members must share their boundary
+    condition and ``dim`` (and the periodic ``grid_size``); others raise
+    ``ValueError``.
     """
     first = models[0]
     for model in models[1:]:
@@ -248,6 +242,5 @@ def stack_models(models):
     for name in first.PER_DOMAIN:
         rows = [np.reshape(getattr(model, name), -1) for model in models]
         setattr(stacked, name, np.stack(rows)[:, None])
-    system = stacked.build_system()
-    system.label = "lockstep[" + ", ".join(m.build_system().label for m in models) + "]"
-    return system
+    stacked._steppers = {}
+    return stacked

@@ -99,7 +99,7 @@ def burn_in(system, u0, tau, dt):
     u0 = np.asarray(u0, dtype=float)
     if tau == 0:
         return u0.copy()
-    return integrate(system, u0[..., None, :], 0.0, tau, dt)[..., 0, :]
+    return integrate(system, u0[..., None, :], tau, dt)[..., 0, :]
 
 
 def propagate_frame(system, u_prev, Q_prev, T, epsilon, dt, helper=None):
@@ -121,7 +121,7 @@ def propagate_frame(system, u_prev, Q_prev, T, epsilon, dt, helper=None):
     base = u_prev[..., None, :]
     batch = np.concatenate([base, base + epsilon * Qt], axis=-2)
     if helper is None:
-        out = integrate(system, batch, 0.0, T, dt)
+        out = integrate(system, batch, T, dt)
     else:
         out = helper.integrate(batch)
     u_next = out[..., 0, :]
@@ -246,13 +246,13 @@ class _RowHelper:
             child.close()
 
     def integrate(self, block):
-        """``integrate(system, block, 0, T, dt)``, half of it in the helper.
+        """``integrate(system, block, T, dt)``, half of it in the helper.
         When rows of both halves blow up, the earlier failure is raised, as
         one process raises it."""
         cut = (block.shape[-2] + 1) // 2
         self._conn.send(block[..., cut:, :])
         try:
-            own = integrate(self.system, block[..., :cut, :], 0.0, self.T, self.dt)
+            own = integrate(self.system, block[..., :cut, :], self.T, self.dt)
         except IntegrationBlowUp as exc:
             own = exc
         theirs, caught = self._conn.recv()
@@ -287,7 +287,7 @@ def _serve(system, T, dt, conn, parent_end):
             return
         with warnings.catch_warnings(record=True) as caught:
             try:
-                reply = integrate(system, block, 0.0, T, dt)
+                reply = integrate(system, block, T, dt)
             except Exception as exc:
                 reply = exc
         conn.send((reply, [(w.message, w.category, w.filename, w.lineno)

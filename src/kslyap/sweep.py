@@ -6,23 +6,26 @@ each reorthonormalization interval another, so a group costs far less than
 its points alone, and every row is bit-identical to its point's run alone.
 
 Results are durable: the rows of every completed group are appended to the
-output CSV immediately, a sidecar ``<output>.meta.json`` pins the
-configuration fingerprint, and re-running the same plan resumes from what
-is already on disk.  A grid point whose run fails (a blow-up, a non-finite
-flow-map column, a rank-deficient frame) is recorded with a ``failed`` flag
-instead of aborting the sweep; any other error, such as an m larger than
-the model's dimension, ends the sweep and leaves the rows written so far.
+output CSV immediately, the CSV's first line pins the configuration
+fingerprint, and re-running the same plan resumes from what is already on
+disk.  A grid point whose run fails (a blow-up, a non-finite flow-map
+column, a rank-deficient frame) is recorded with a ``failed`` flag instead
+of aborting the sweep.  A setting no grid point can run with (an L that is
+not positive, a k_max that resolves no mode, an m above a model's
+dimension) is refused before anything is written; any other error ends the
+sweep and leaves the rows written so far.
 
 :func:`fingerprint` is the one name of a cached result's numbers: it hashes
 the settings a result depends on together with its boundary condition's
-entry in :data:`NUMERICS`.  Sweep sidecars and the acceptance-test caches
+entry in :data:`NUMERICS`.  Sweep CSVs and the acceptance-test caches
 are named by it.  A change that alters a boundary condition's numbers adds
 an entry to :data:`NUMERICS`; old sweeps are then refused on resume and old
 cache files are no longer found, so the change commits the regenerated
 files and removes the orphaned old ones.
 
-CSV schema: header ``L,bc,seed,flag,dky,j,lambda_1,...,lambda_m``; reals are
-written with 17 significant digits so they round-trip exactly.
+CSV schema: a ``# fingerprint=<digest>`` line, a ``#`` line echoing the
+plan, then the header ``L,bc,seed,flag,dky,j,lambda_1,...,lambda_m``; reals
+are written with 17 significant digits so they round-trip exactly.
 """
 
 import hashlib
@@ -216,7 +219,7 @@ def spectrum_record(L, bc, seed, exponents):
 def compute_point(bc, L, k_max, lyap, seed):
     """Compute one SpectrumRecord; a run failure (:data:`RUN_FAILURES`) is
     captured in the flags, any other error raised."""
-    system = make_model(bc, L, k_max).build_system()
+    system = make_model(bc, L, k_max)
     try:
         result = compute_spectrum(system, replace(lyap, seed=seed))
     except RUN_FAILURES:
@@ -246,13 +249,15 @@ def compute_group(bc, Ls, k_max, lyap, seeds):
             for L, seed, exponents in zip(Ls, seeds, result.exponents)]
 
 
+FINGERPRINT_LINE = "# fingerprint="
+
+
 def _load_existing(plan, path):
-    meta_path = path + ".meta.json"
-    if not os.path.exists(meta_path):
-        raise FingerprintMismatch(f"missing sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if meta.get("fingerprint") != plan.fingerprint():
+    with open(path) as fh:
+        first = fh.readline()
+    if not first.startswith(FINGERPRINT_LINE):
+        raise FingerprintMismatch(f"{path} has no '{FINGERPRINT_LINE}' first line")
+    if first[len(FINGERPRINT_LINE):].strip() != plan.fingerprint():
         raise FingerprintMismatch(
             "existing output was produced with a different configuration")
     _cut_torn_row(path)
@@ -279,7 +284,8 @@ def _cut_torn_row(path):
 
 
 def _write_sorted(plan, path, records):
-    lines = [f"# fingerprint={plan.fingerprint()}",
+    echo = " ".join(f"{k}={v}" for k, v in sorted(plan.echo().items()))
+    lines = [FINGERPRINT_LINE + plan.fingerprint(), f"# {echo}",
              header_row(plan.lyap.m)]
     for L in sorted(records):
         lines.append(record_to_row(records[L]))
@@ -297,25 +303,24 @@ def run_sweep(plan, log=None):
     it completes (a row cut short by an interrupted write is recomputed on
     resume); on normal completion the file is rewritten sorted by L, so the
     on-disk result is independent of worker count, grouping and completion
-    order.  An error other than a run failure propagates and leaves the
-    rows already written on disk.
+    order.  Every point's model is built, and m checked against its
+    dimension, before the output is first written.  An error other than a
+    run failure propagates and leaves the rows already written on disk.
     """
     path = plan.output_path
-    if os.path.exists(path):
-        done = _load_existing(plan, path)
-    else:
-        done = {}
-        with open(path + ".meta.json", "w") as fh:
-            json.dump({"fingerprint": plan.fingerprint(), "plan": plan.echo()},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_sorted(plan, path, done)
-
+    done = _load_existing(plan, path) if os.path.exists(path) else {}
     grid = plan.grid()
-    todo = [(idx, L) for idx, L in enumerate(grid) if float(L) not in done]
-    if todo:
+    groups = _groups(plan, [(idx, L) for idx, L in enumerate(grid)
+                            if float(L) not in done])
+    for group in groups:  # a group's points share their dimension
+        dim = make_model(plan.bc, group[0][1], plan.k_max).dim
+        if plan.lyap.m > dim:
+            raise ValueError(f"m={plan.lyap.m} exceeds system dimension {dim}")
+    if not os.path.exists(path):
+        _write_sorted(plan, path, done)
+    if groups:
         with open(path, "a") as sink:
-            for group in _compute_many(plan, todo):
+            for group in _compute_many(plan, groups):
                 sink.write("".join(record_to_row(rec) + "\n" for rec in group))
                 sink.flush()
                 for rec in group:
@@ -323,15 +328,15 @@ def run_sweep(plan, log=None):
                     if log:
                         log(rec)
         _write_sorted(plan, path, done)
-    records = [done[float(L)] for L in grid]
-    return records
+    return [done[float(L)] for L in grid]
 
 
 def _groups(plan, todo):
     """Split the to-do ``(index, L)`` points into lockstep groups: runs of
     consecutive points with equal model dimension, cut to at most
     ``GROUP_ROWS // (m + 1)`` points, and small enough that there are at
-    least ``workers`` groups when there are that many points."""
+    least ``workers`` groups when there are that many points.  Builds every
+    point's model, so a setting no model takes raises here."""
     size = max(1, min(GROUP_ROWS // (plan.lyap.m + 1),
                       math.ceil(len(todo) / plan.workers)))
     groups, dim = [], None
@@ -344,11 +349,11 @@ def _groups(plan, todo):
     return groups
 
 
-def _compute_many(plan, todo):
+def _compute_many(plan, groups):
     """Yield each group's records as the group completes."""
     args = [(plan.bc, [L for _, L in group], plan.k_max, plan.lyap,
              [plan.point_seed(idx) for idx, _ in group])
-            for group in _groups(plan, todo)]
+            for group in groups]
     if plan.workers == 1 or len(args) == 1:
         for a in args:
             yield compute_group(*a)

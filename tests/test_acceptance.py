@@ -17,6 +17,7 @@ Each top-level check prints a single PASS/FAIL line.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from kslyap import (LyapunovConfig, SweepPlan,
                     read_records, reorthonormalize, run_sweep,
                     scan_exponent_p, scan_reorthonormalization_interval,
                     windowed_median_mad)
+from kslyap import sweep
 from kslyap.sweep import NUMERICS, fingerprint, spectrum_settings
 
 CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -62,7 +64,7 @@ def ks_spectrum(bc, L, m, **kwargs):
     if os.path.exists(path):
         with open(path) as fh:
             return np.array(json.load(fh)["exponents"])
-    result = compute_spectrum(make_model(*domain).build_system(), cfg)
+    result = compute_spectrum(make_model(*domain), cfg)
     with open(path, "w") as fh:
         json.dump({"exponents": result.exponents.tolist(),
                    "wall_time": result.wall_time}, fh)
@@ -178,6 +180,19 @@ def _sweep_records():
     return records
 
 
+def test_committed_sweeps_resume_without_computing(monkeypatch):
+    def no_group(*args):
+        raise AssertionError("a committed sweep point was recomputed")
+
+    paths = [Path(CACHE, f"sweep_periodic_L{c:g}.csv") for c in SWEEP_CENTERS]
+    before = [path.read_bytes() for path in paths]
+    monkeypatch.setattr(sweep, "compute_group", no_group)
+    n_runs = len(_sweep_records())
+    unchanged = [path.read_bytes() for path in paths] == before
+    _report("committed sweeps resume", n_runs == 105 and unchanged,
+            f"{n_runs} rows (need 105), files unchanged: {unchanged}")
+
+
 def test_sweep_and_power_law_fit():
     records = _sweep_records()
     n_runs = len(records)
@@ -240,7 +255,7 @@ def test_mean_conservation_invariant():
     from kslyap import PeriodicSpectralModel, initial_state, integrate
     model = PeriodicSpectralModel(36.0)
     u0 = initial_state(model.dim, 3)
-    u = integrate(model.build_system(), u0, 0.0, 100.0, 0.05)
+    u = integrate(model, u0, 100.0, 0.05)
     drift = abs(model.field_mean(u) - model.field_mean(u0))
     _report("mean conservation", drift < 1e-6, f"drift {drift:.2e} over 100 units")
 
@@ -277,7 +292,7 @@ def test_T_scan_odd_L100():
         with open(path) as fh:
             rows = np.array(json.load(fh)["rows"])
     else:
-        system = make_model(*domain).build_system()
+        system = make_model(*domain)
         _, rows = scan_reorthonormalization_interval(system, cfg, T_values)
         with open(path, "w") as fh:
             json.dump({"rows": rows.tolist()}, fh)

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from kslyap import (EmptyWindow, InsufficientData, SingularNormalEquations,
                     WindowedStat, fit_dky_linear, fit_power_law, kaplan_yorke,
-                    mean_abs_deviation, scan_exponent_p, windowed_median_mad)
-from kslyap.analysis import default_p_grid
+                    scan_exponent_p, windowed_median_mad)
+from kslyap.analysis import _mean_abs_deviation, default_p_grid
 
 
 def model_exponent(i, L):
@@ -242,4 +242,4 @@ def test_j_zero_consistent_with_ky_index(L):
 
 
 def test_mean_abs_deviation():
-    assert mean_abs_deviation([1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
+    assert _mean_abs_deviation([1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)

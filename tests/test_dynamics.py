@@ -14,7 +14,7 @@ from odd_fd_reference import SolveBandedCNAB2, to_grid
 def constant_system(value=0.0, dim=1):
     def rhs(t, u):
         return np.full_like(u, value)
-    return DynamicalSystem(dim=dim, rhs=rhs, label="const")
+    return DynamicalSystem(dim=dim, rhs=rhs)
 
 
 def stiff_diagonal_system(rates):
@@ -31,23 +31,23 @@ STEPPERS = {"rk4": _RK4Stepper, "etdrk4": _ETDRK4Stepper,
 
 
 def test_identity_flow():
-    u = integrate(constant_system(), np.array([3.5]), 0.0, 10.0, DT)
+    u = integrate(constant_system(), np.array([3.5]), 10.0, DT)
     assert u == pytest.approx([3.5])
 
 
 def test_rk4_exponential_decay():
-    u = integrate(diagonal_linear_system([-1.0]), np.array([1.0]), 0.0, 1.0, DT)
+    u = integrate(diagonal_linear_system([-1.0]), np.array([1.0]), 1.0, DT)
     assert abs(u[0] - np.exp(-1)) < 1e-8
 
 
 def test_lorenz_stays_bounded():
     system = lorenz_system()
     dt = 0.005
-    u = integrate(system, np.array([1.0, 1.0, 1.0]), 0.0, 50.0, dt)
+    u = integrate(system, np.array([1.0, 1.0, 1.0]), 50.0, dt)
     assert np.all(np.isfinite(u)) and np.max(np.abs(u)) < 100
     # step-halving agreement at t=1 (3 digits)
-    a = integrate(system, np.array([1.0, 1.0, 1.0]), 0.0, 1.0, dt)
-    b = integrate(system, np.array([1.0, 1.0, 1.0]), 0.0, 1.0, dt / 2)
+    a = integrate(system, np.array([1.0, 1.0, 1.0]), 1.0, dt)
+    b = integrate(system, np.array([1.0, 1.0, 1.0]), 1.0, dt / 2)
     assert np.max(np.abs(a - b)) < 1e-3
 
 
@@ -55,7 +55,7 @@ def test_rk4_fourth_order():
     system = diagonal_linear_system([-1.0])
     errs = []
     for dt in (0.1, 0.05):
-        u = integrate(system, np.array([1.0]), 0.0, 2.0, dt)
+        u = integrate(system, np.array([1.0]), 2.0, dt)
         errs.append(abs(u[0] - np.exp(-2)))
     ratio = errs[0] / errs[1]
     assert 16 * 0.8 < ratio < 16 * 1.2
@@ -64,7 +64,7 @@ def test_rk4_fourth_order():
 def test_etdrk4_exact_on_linear_problem():
     rates = np.array([-2.0, -0.5, 1.3])
     system = stiff_diagonal_system(rates)
-    u = integrate(system, np.ones(3), 0.0, 1.0, 1.0)
+    u = integrate(system, np.ones(3), 1.0, 1.0)
     assert np.max(np.abs(u - np.exp(rates))) < 1e-14
 
 
@@ -73,15 +73,15 @@ def test_time_additivity(scheme, dt):
     build = {"rk4": diagonal_linear_system, "etdrk4": stiff_diagonal_system}[scheme]
     system = build([-1.0, 0.2])
     u0 = np.array([1.0, 0.5])
-    direct = integrate(system, u0, 0.0, 2.0, dt)
-    mid = integrate(system, u0, 0.0, 0.7, dt)
-    split = integrate(system, mid, 0.7, 2.0, dt)
+    direct = integrate(system, u0, 2.0, dt)
+    mid = integrate(system, u0, 0.7, dt)
+    split = integrate(system, mid, 1.3, dt)
     assert np.max(np.abs(direct - split)) < 1e-12
 
 
 def test_partial_final_step():
     system = diagonal_linear_system([-1.0])
-    u = integrate(system, np.array([1.0]), 0.0, 1.003, DT)
+    u = integrate(system, np.array([1.0]), 1.003, DT)
     assert abs(u[0] - np.exp(-1.003)) < 1e-8
 
 
@@ -90,7 +90,7 @@ def test_blow_up_carries_time():
         return u * u
     system = DynamicalSystem(dim=1, rhs=rhs)
     with pytest.raises(IntegrationBlowUp) as err:
-        integrate(system, np.array([10.0]), 0.0, 1.0, DT)
+        integrate(system, np.array([10.0]), 1.0, DT)
     assert 0 < err.value.time <= 1.0
 
 
@@ -124,17 +124,18 @@ def test_blow_up_detects_every_bad_value(bad):
         system = DynamicalSystem(dim=2, rhs=rhs, **operator)
         assert type(make_stepper(system, DT)) is STEPPERS[scheme]
         with pytest.raises(IntegrationBlowUp) as err:
-            integrate(system, np.ones((2, 2)), 0.2, 1.0, DT)
+            integrate(system, np.ones((2, 2)), 1.0, DT)
         assert seen[0] <= err.value.time <= seen[0] + DT
         steps_late = 2 if scheme == "imex_cnab2" else 1
         assert 0.5 - DT < err.value.time <= 0.5 + steps_late * DT
 
 
-def test_step_count_walks_whole_steps_away_from_zero():
-    # 5.4 - 5.1 is 0.3 only to within the rounding of 5.4: six steps of 0.05
-    # and no remainder step of about 1e-15
-    assert _step_count(5.1, 5.4, 0.05) == (6, 0.0)
-    assert _step_count(0.0, 1.03, 0.05) == (20, pytest.approx(0.03))
+def test_step_count_walks_whole_steps_within_rounding():
+    # 0.3 / 0.05 is 6 only to within rounding: six steps of 0.05 and no
+    # remainder step of about 1e-17
+    assert 0.3 / 0.05 != 6
+    assert _step_count(0.3, 0.05) == (6, 0.0)
+    assert _step_count(1.03, 0.05) == (20, pytest.approx(0.03))
 
 
 def test_simulate_walks_no_remainder_step(tmp_path, monkeypatch, capsys):
@@ -142,8 +143,8 @@ def test_simulate_walks_no_remainder_step(tmp_path, monkeypatch, capsys):
     # intervals of six steps each, up to t = 499.8 (none past t_end)
     walks = []
 
-    def record(system, state, t0, t1, dt):
-        walks.append(_step_count(t0, t1, dt))
+    def record(system, state, t, dt):
+        walks.append(_step_count(t, dt))
         return state
 
     monkeypatch.setattr(cli, "integrate", record)
@@ -174,14 +175,14 @@ def test_config_validation():
     system = lorenz_system()
     for dt in (0.0, -0.1):
         with pytest.raises(ValueError):
-            integrate(system, np.ones(3), 0.0, 1.0, dt)
+            integrate(system, np.ones(3), 1.0, dt)
     with pytest.raises(ValueError):
         DynamicalSystem(dim=2, rhs=lambda t, u: u, crank_nicolson=True)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "odd"])
 def test_ks_system_steps_with_its_numerics_scheme(bc):
-    system = make_model(bc, 22.0).build_system()
+    system = make_model(bc, 22.0)
     stepper = make_stepper(system, 0.05)
     expected = _ETDRK4Stepper if bc == "periodic" else _IMEXCNAB2Stepper
     assert type(stepper) is expected
@@ -197,8 +198,8 @@ def test_oracle_systems_step_with_rk4(system):
 def test_batched_matches_sequential():
     system = lorenz_system()
     batch = np.array([[1.0, 1.0, 1.0], [2.0, -1.0, 5.0]])
-    together = integrate(system, batch, 0.0, 1.0, DT)
-    singly = np.stack([integrate(system, row, 0.0, 1.0, DT) for row in batch])
+    together = integrate(system, batch, 1.0, DT)
+    singly = np.stack([integrate(system, row, 1.0, DT) for row in batch])
     assert np.array_equal(together, singly)
 
 
@@ -211,7 +212,7 @@ def test_lockstep_coefficients_are_each_members_own(bc, Ls):
     names = (("e_full", "e_half", "q", "f1", "f2", "f3") if bc == "periodic"
              else ("gain", "inv"))
     for g, model in enumerate(models):
-        alone = make_stepper(model.build_system(), 0.05)
+        alone = make_stepper(model, 0.05)
         for name in names:
             assert np.array_equal(getattr(stacked, name)[g, 0], getattr(alone, name))
 
@@ -220,21 +221,35 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     built = []
 
     def counting(system, dt):
-        built.append((system.label, dt))
+        built.append((system, dt))
         return make_stepper(system, dt)
 
     monkeypatch.setattr(dynamics, "make_stepper", counting)
     cfg = LyapunovConfig(m=3, tau=1.0, T=0.5, N=4, dt=0.05)
-    labels = []
-    for bc in ("periodic", "odd"):
-        system = make_model(bc, 22.0).build_system()
-        labels.append(system.label)
+    systems = [make_model(bc, 22.0) for bc in ("periodic", "odd")]
+    for system in systems:
         compute_spectrum(system, cfg)
-    assert built == [(label, 0.05) for label in labels]
+    assert built == [(system, 0.05) for system in systems]
+
+
+@pytest.mark.parametrize("bc, Ls", [("periodic", [21.9, 22.0]), ("odd", [41.0, 41.05])])
+def test_stack_built_after_its_first_member_stepped_builds_its_own_steppers(bc, Ls):
+    # the stack is a copy of its first member: it must not reuse the
+    # steppers that member built for its own, unstacked operator
+    models = [make_model(bc, L) for L in Ls]
+    integrate(models[0], initial_state(models[0].dim, 0), 1.0, 0.05)
+    stepped = models[0]._steppers[0.05]
+    stacked = stack_models(models)
+    block = np.stack([[initial_state(stacked.dim, g)] for g in range(len(Ls))])
+    got = integrate(stacked, block, 1.0, 0.05)
+    assert models[0]._steppers == {0.05: stepped}
+    assert stacked._steppers[0.05] is not stepped
+    fresh = stack_models([make_model(bc, L) for L in Ls])
+    assert got.tobytes() == integrate(fresh, block, 1.0, 0.05).tobytes()
 
 
 def _odd_system():
-    return make_model("odd", 22.0).build_system()
+    return make_model("odd", 22.0)
 
 
 def test_reused_stepper_restarts_its_history():
@@ -246,8 +261,8 @@ def test_reused_stepper_restarts_its_history():
     block = u + 1e-3 * np.random.default_rng(0).standard_normal((25, system.dim))
     for _ in range(2):
         for state, t1 in ((u, 1.0), (block, 1.0), (u, 1.03), (block, 1.03)):
-            got = integrate(system, state, 0.0, t1, DT)
-            want = integrate(_odd_system(), state, 0.0, t1, DT)
+            got = integrate(system, state, t1, DT)
+            want = integrate(_odd_system(), state, t1, DT)
             assert got.tobytes() == want.tobytes()
 
 
@@ -257,7 +272,7 @@ def test_cnab2_step_matches_the_solve_banded_reference(L):
     # finite-difference step with a banded Crank-Nicolson solve: 40 steps
     # from the Euler step on, twice, with a restart in between
     model = make_model("odd", L)
-    stepper = make_stepper(model.build_system(), 0.05)
+    stepper = make_stepper(model, 0.05)
     reference = SolveBandedCNAB2(model, 0.05)
     assert type(stepper) is _IMEXCNAB2Stepper
     rng = np.random.default_rng(int(10 * L))

@@ -91,8 +91,8 @@ def test_starting_frames(monkeypatch):
     propagate = lyapunov.propagate_frame
     monkeypatch.setattr(lyapunov, "propagate_frame", spy)
     model = OddPeriodicFDModel(41.0)
-    systems = [(model.build_system(), 12, 0.05),
-               (PeriodicSpectralModel(22.0).build_system(), 2, 0.05),
+    systems = [(model, 12, 0.05),
+               (PeriodicSpectralModel(22.0), 2, 0.05),
                (lorenz_system(), 2, 0.005),
                (diagonal_linear_system([0.3, -0.1, -2.0]), 2, 0.01)]
     for system, m, dt in systems:
@@ -162,7 +162,7 @@ def test_field_mean_constant_and_sine():
 def test_periodic_mean_conservation():
     model = PeriodicSpectralModel(36.0)
     u0 = initial_state(model.dim, 3)
-    u = integrate(model.build_system(), u0, 0.0, 100.0, DT)
+    u = integrate(model, u0, 100.0, DT)
     assert abs(model.field_mean(u) - model.field_mean(u0)) < 1e-6
 
 
@@ -173,7 +173,7 @@ def test_periodic_preserves_odd_symmetry():
     state = np.zeros(model.dim)
     state[model.n_modes + 1:] = 0.3 * rng.standard_normal(model.n_modes) * np.exp(
         -0.3 * np.arange(1, model.n_modes + 1))
-    u = integrate(model.build_system(), state, 0.0, 10.0, DT)
+    u = integrate(model, state, 10.0, DT)
     _, phys = model.to_physical(u)
     antisym = phys + np.roll(phys[::-1], 1)  # u(x) + u(L-x)
     assert np.max(np.abs(antisym)) < 1e-8
@@ -184,7 +184,7 @@ def test_linear_dispersion_periodic(j):
     model = PeriodicSpectralModel(22.0)
     state = np.zeros(model.dim)
     state[j] = 1e-6  # Re c_j
-    u = integrate(model.build_system(), state, 0.0, 1.0, DT)
+    u = integrate(model, state, 1.0, DT)
     rate = np.log(abs(u[j]) / 1e-6)
     expected = model.k[j] ** 2 - model.k[j] ** 4
     assert rate == pytest.approx(expected, rel=0.01)
@@ -195,7 +195,7 @@ def test_linear_dispersion_odd(j):
     model = OddPeriodicFDModel(18.0)
     k = np.pi * j / model.L
     state = 1e-6 * np.sin(k * model.x)
-    a = integrate(model.build_system(), to_grid(state), 0.0, 1.0, DT)
+    a = integrate(model, to_grid(state), 1.0, DT)
     rate = np.log(np.linalg.norm(to_grid(a)) / np.linalg.norm(state))
     assert rate == pytest.approx(k**2 - k**4, rel=0.01, abs=1e-4)
 
@@ -207,8 +207,8 @@ def test_periodic_refinement_consistency():
     fine_u0 = np.zeros(fine.dim)
     fine_u0[: coarse.n_modes + 1] = u0[: coarse.n_modes + 1]
     fine_u0[fine.n_modes + 1: fine.n_modes + 1 + coarse.n_modes] = u0[coarse.n_modes + 1:]
-    a = integrate(coarse.build_system(), u0, 0.0, 10.0, DT)
-    b = integrate(fine.build_system(), fine_u0, 0.0, 10.0, DT)
+    a = integrate(coarse, u0, 10.0, DT)
+    b = integrate(fine, fine_u0, 10.0, DT)
     n_pts = 4 * fine.n_modes
     _, pa = coarse.to_physical(a, n_pts)
     _, pb = fine.to_physical(b, n_pts)
@@ -218,7 +218,7 @@ def test_periodic_refinement_consistency():
 def test_odd_boundary_invariants_hold():
     model = OddPeriodicFDModel(18.0)
     u0 = initial_state(model.dim, 1)
-    u = integrate(model.build_system(), u0, 0.0, 20.0, DT)
+    u = integrate(model, u0, 20.0, DT)
     x, full = model.to_physical(u)
     assert full[0] == 0.0 and full[-1] == 0.0
     # u_xx = 0 at the wall under the odd-reflection convention: the
@@ -254,7 +254,7 @@ def test_periodic_rhs_matches_the_complex_formula(L):
 
 @pytest.mark.parametrize("L", [22.0, 100.0])
 def test_etdrk4_step_matches_the_textbook_expression(L):
-    system = PeriodicSpectralModel(L).build_system()
+    system = PeriodicSpectralModel(L)
     stepper = _ETDRK4Stepper(system, DT)
     E, E2, Q = stepper.e_full, stepper.e_half, stepper.q
     f1, f2, f3, lam = stepper.f1, stepper.f2, stepper.f3, system.stiff_linear_part
@@ -311,8 +311,7 @@ def test_odd_rhs_matches_the_stencil_formula(L):
 def test_odd_step_matches_the_textbook_expression(L):
     # bit for bit: the cached odd spectra depend on this order of operations
     model = OddPeriodicFDModel(L)
-    system = model.build_system()
-    stepper = _IMEXCNAB2Stepper(system, DT)
+    stepper = _IMEXCNAB2Stepper(model, DT)
     lam, n, h = model.stiff_linear_part, model.n, model.h
 
     def f(a):

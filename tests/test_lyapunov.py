@@ -182,7 +182,7 @@ def test_config_validation():
 def test_a_stack_of_starts_equals_the_single_runs(bc, L):
     # K seeds of one system in lockstep: one (K, 1, dim) burn-in, one
     # (K, m+1, dim) block and one stacked QR per interval
-    system = make_model(bc, L).build_system()
+    system = make_model(bc, L)
     cfg = LyapunovConfig(m=4, tau=5.0, T=0.5, N=6, epsilon=1e-6, dt=0.05)
     u0 = np.stack([initial_state(system.dim, seed) for seed in range(3)])
     together = compute_spectrum(system, cfg, u0)
@@ -253,7 +253,7 @@ def _assert_same(a, b):
     ("periodic", 22.0, None), ("odd", 41.0, None), ("periodic", 22.0, 3), ("odd", 41.0, 3)])
 def test_a_split_spectrum_is_bit_identical(monkeypatch, helpers, bc, L, starts):
     # a (dim,) start and a (K, dim) multi-start; m+1 = 6 rows split 3 + 3
-    system = make_model(bc, L).build_system()
+    system = make_model(bc, L)
     cfg = LyapunovConfig(m=5, tau=1.0, T=0.5, N=4, epsilon=1e-6, dt=0.05)
     u0 = None if starts is None else np.stack(
         [initial_state(system.dim, seed) for seed in range(starts)])
@@ -329,7 +329,7 @@ def test_the_helper_ignores_ctrl_c(monkeypatch, helpers):
     # Ctrl-C reaches the whole foreground process group; the parent alone
     # acts on it.  The SIGINT goes out in the second interval, after the
     # helper has answered once.
-    base = make_model("periodic", 22.0).build_system()
+    base = make_model("periodic", 22.0)
     parent, calls = os.getpid(), []
 
     def rhs(t, u):
@@ -366,7 +366,7 @@ def test_a_helper_that_cannot_fork_leaves_the_run_in_one_process(monkeypatch):
     def no_fork(process):
         raise OSError("no process to spare")
 
-    system = make_model("periodic", 22.0).build_system()
+    system = make_model("periodic", 22.0)
     cfg = LyapunovConfig(m=3, tau=1.0, T=0.5, N=2, epsilon=1e-6, dt=0.05)
     alone = compute_spectrum(system, cfg)
     monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", 0)

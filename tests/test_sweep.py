@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,8 +38,10 @@ def test_run_sweep_produces_one_record_per_point(tmp_path):
     assert [r.L for r in records] == [10.0, 11.0, 12.0]
     assert all(r.bc == "periodic" for r in records)
     assert all(np.all(np.diff(r.exponents) <= 0) for r in records)
-    meta = json.loads(Path(plan.output_path + ".meta.json").read_text())
-    assert meta["fingerprint"] == plan.fingerprint()
+    first, echo = Path(plan.output_path).read_text().splitlines()[:2]
+    assert first == f"# fingerprint={plan.fingerprint()}"
+    assert echo.startswith("# L_end=12.0 L_start=10.0 ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -120,6 +121,15 @@ def test_fingerprint_mismatch_refuses_to_mix(tmp_path, monkeypatch, change):
         run_sweep(changed)
 
 
+def test_resume_refuses_a_csv_without_its_fingerprint_line(tmp_path):
+    plan = tiny_plan(tmp_path)
+    run_sweep(plan)
+    lines = Path(plan.output_path).read_text().splitlines(keepends=True)
+    Path(plan.output_path).write_text("".join(lines[1:]))
+    with pytest.raises(FingerprintMismatch):
+        run_sweep(plan)
+
+
 @pytest.mark.parametrize("L_start", [10.0, 10.5])
 def test_resume_refuses_rows_of_another_grid(tmp_path, L_start):
     # rows 11 and 12 were grid indices 0 and 1; from L_start 10 they are
@@ -151,8 +161,6 @@ def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
             "bae4ad164709455538e9193e73f1a0c4b66d538d06e1e0f3e4e187172be55676",
             # the digest while spectra started from grid-point perturbations
             "8a3cde559d677701aaacab87f8610c388a76343448321bfd5d3712eb4ca3ea1f"):
-        with open(plan.output_path + ".meta.json", "w") as fh:
-            json.dump({"fingerprint": old}, fh)
         with open(plan.output_path, "w") as fh:
             fh.write(f"# fingerprint={old}\n{header_row(2)}\n")
         with pytest.raises(FingerprintMismatch):
