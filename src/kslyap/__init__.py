@@ -7,7 +7,7 @@ from .errors import (EmptyWindow, FingerprintMismatch, InsufficientData,
                      IntegrationBlowUp, KslyapError, NonFiniteColumn,
                      RankDeficient, ResolutionTooCoarse, SingularNormalEquations)
 from .ks import (ODD_PERIODIC, OddPeriodicFDModel, PERIODIC,
-                 PeriodicSpectralModel, make_model, stack_models)
+                 PeriodicSpectralModel, make_model)
 from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum,
                        propagate_frame, reorthonormalize,
                        scan_reorthonormalization_interval)

@@ -2,10 +2,6 @@
 
 Throughout, "MAD" is the *mean* absolute deviation about the median, a robust
 dispersion measure (not the median absolute deviation).
-
-The least-squares fits (:func:`fit_power_law`, :func:`fit_dky_linear`) solve
-their triangular system with ``scipy.linalg``, imported on the first fit; the
-rest of the module needs numpy alone.
 """
 
 import math
@@ -100,12 +96,11 @@ def windowed_median_mad(records, L_center, i, halfwidth=1.0):
 def _lstsq_qr(A, y):
     """Least squares via QR of the design matrix (better conditioned than
     normal equations)."""
-    from scipy.linalg import solve_triangular
     Q, R = np.linalg.qr(A)
     d = np.abs(np.diagonal(R))
     if np.min(d) <= 1e-12 * max(1.0, np.max(d)):
         raise SingularNormalEquations("design matrix is rank deficient")
-    return solve_triangular(R, Q.T @ y)
+    return np.linalg.solve(R, Q.T @ y)
 
 
 def fit_power_law(stats, p):

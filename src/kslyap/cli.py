@@ -112,10 +112,12 @@ def _parse_grid(text):
 
 def cmd_simulate(args):
     cfg = _effective(args)
+    t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
+    if not dt_out > 0 or not t_end >= 0:
+        raise KslyapError("simulate needs --dt-out > 0 and --t-end >= 0")
     model = make_model(cfg["bc"], float(cfg["L"]), float(cfg["kmax"]))
     dt = float(cfg["dt"])
     state = initial_state(model.dim, int(cfg["seed"]))
-    t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
     times = analysis._grid(0.0, dt_out, t_end)
     x, _ = model.to_physical(state)
     lines = _meta_lines("simulate", cfg)

@@ -5,11 +5,11 @@ A system is described by its dimension and a right-hand-side function
 accepts a ``(batch, dim)`` array of states, or any block with more leading
 axes, and returns the elementwise right-hand sides, which lets callers
 propagate many trajectories in lockstep (used heavily by the Lyapunov
-engine).  A lockstep system of G members (``ks.stack_models``) declares its
-operator with a leading member axis, shape ``(G, 1, dim)``, and steps
-``(G, rows, dim)`` blocks; every row of a block gets the bits it gets
-alone, as each stepper builds its coefficients member by member with the
-code of a single system (ETDRK4) or elementwise (IMEX-CNAB2).
+engine).  A lockstep system of G members (``ks.make_model`` of G lengths)
+declares its operator with a leading member axis, shape ``(G, 1, dim)``,
+and steps ``(G, rows, dim)`` blocks; every row of a block gets the bits it
+gets alone, as each stepper builds its coefficients member by member with
+the code of a single system (ETDRK4) or elementwise (IMEX-CNAB2).
 
 The system determines its fixed-step scheme (:func:`make_stepper`) from the
 stiff linear operator it declares, a diagonal ``stiff_linear_part``:
@@ -42,7 +42,7 @@ class DynamicalSystem:
 
     A system with a stiff linear operator declares its diagonal,
     ``stiff_linear_part``, and that declaration picks its integrator (see
-    :func:`make_stepper`): ETDRK4, or IMEX-CNAB2 when the system sets
+    :func:`make_stepper`): ETDRK4, or IMEX-CNAB2 when its class sets
     ``crank_nicolson``.  A system that declares no stiff part is run with
     RK4.
 
@@ -58,13 +58,11 @@ class DynamicalSystem:
 
     crank_nicolson = False
 
-    def __init__(self, dim, rhs=None, stiff_linear_part=None, crank_nicolson=False):
+    def __init__(self, dim, rhs=None, stiff_linear_part=None):
         if dim <= 0:
             raise ValueError("system dimension must be positive")
         if rhs is not None:  # a subclass's rhs method is not shadowed
             self.rhs = rhs
-        if crank_nicolson:
-            self.crank_nicolson = True
         if stiff_linear_part is not None:
             stiff_linear_part = np.asarray(stiff_linear_part, dtype=float)
             if stiff_linear_part.shape[-1:] != (dim,):

@@ -31,13 +31,14 @@ ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
 Only the odd model needs scipy: ``scipy.fft.dst`` is imported when the first
 odd model is built, so a periodic run imports numpy alone.
 
-Both ``rhs`` bodies index with ``...``, so one body maps a ``(rows, dim)``
-block and a ``(G, rows, dim)`` block.  :func:`stack_models` joins G models
-of one boundary condition and dimension into one lockstep system: the
-arrays that depend on L carry a leading member axis of shape ``(G, 1, ...)``.
+Given a sequence of G lengths instead of one, :func:`make_model` builds one
+lockstep system of G members: every array that depends on L (``L`` itself
+included) is computed from a ``(G, 1, 1)`` column of the lengths, so it
+carries a leading member axis of shape ``(G, 1, ...)``.  Both ``rhs``
+bodies index with ``...``, so one body maps a ``(rows, dim)`` block and a
+``(G, rows, dim)`` block, each member's rows with the bits of its own
+model's ``rhs``.
 """
-
-import copy
 
 import numpy as np
 
@@ -48,6 +49,22 @@ PERIODIC = "periodic"
 ODD_PERIODIC = "odd"
 
 DEFAULT_K_MAX = 9.0
+
+
+def _domain_lengths(L):
+    """One domain length as given, or a sequence of G as a ``(G, 1, 1)``
+    column, from which every array of the model gets its member axis."""
+    return L if np.ndim(L) == 0 else np.asarray(L, dtype=float)[:, None, None]
+
+
+def _one_resolution(name, needed):
+    """The resolution ``needed`` holds for every domain, as an int; domains
+    that need different ones cannot share one lockstep system."""
+    values = np.unique(needed)
+    if values.size > 1:
+        raise ValueError(f"one lockstep system needs one {name}; "
+                         f"its lengths need {', '.join(f'{v:g}' for v in values)}")
+    return int(values[0])
 
 
 def _next_fast_len(target):
@@ -65,17 +82,16 @@ def _next_fast_len(target):
 
 
 class PeriodicSpectralModel(DynamicalSystem):
-    """The periodic KS system, pseudospectral; integrated by ETDRK4."""
-
-    #: the arrays that depend on L, stacked per member by :func:`stack_models`
-    PER_DOMAIN = ("k", "_half_k", "stiff_linear_part")
+    """The periodic KS system, pseudospectral; integrated by ETDRK4.  ``L``
+    is one length or a sequence (see :func:`make_model`)."""
 
     def __init__(self, L, k_max=DEFAULT_K_MAX, n_modes=None):
+        L = _domain_lengths(L)
         if n_modes is None:
-            n_modes = int(np.ceil(k_max * L / (2 * np.pi)))
+            n_modes = _one_resolution("n_modes", np.ceil(k_max * L / (2 * np.pi)))
         if n_modes < 4:
             raise ResolutionTooCoarse(
-                f"n_modes={n_modes} < 4 for L={L:g}, k_max={k_max:g}")
+                f"n_modes={n_modes} < 4 for L={np.max(L):g}, k_max={k_max:g}")
         self.L = L
         self.n_modes = n_modes
         # physical grid for the quadratic term; >= 3n+1 makes the retained
@@ -83,8 +99,8 @@ class PeriodicSpectralModel(DynamicalSystem):
         self.grid_size = _next_fast_len(3 * n_modes + 1)
         self.k = 2 * np.pi * np.arange(n_modes + 1) / L
         growth = self.k**2 - self.k**4
-        super().__init__(2 * n_modes + 1,
-                         stiff_linear_part=np.concatenate([growth, growth[1:]]))
+        super().__init__(2 * n_modes + 1, stiff_linear_part=np.concatenate(
+            [growth, growth[..., 1:]], axis=-1))
         self._half_k = 0.5 * self.k
         self._inv_grid_size = 1.0 / self.grid_size
 
@@ -145,25 +161,25 @@ class OddPeriodicFDModel(DynamicalSystem):
     ``-(mu_j**2 + mu_j)``, where ``mu_j = -(4/h**2) sin(j*pi/(2(n+1)))**2`` is
     the eigenvalue of the second difference D2 (Strang, SIAM Review 1999).
     So the first m coordinate vectors, from which every Lyapunov frame
-    starts, are the m lowest sine modes.
+    starts, are the m lowest sine modes.  ``L`` is one length or a sequence
+    (see :func:`make_model`).
     """
-
-    #: the arrays that depend on L, stacked per member by :func:`stack_models`
-    PER_DOMAIN = ("h", "stiff_linear_part")
 
     crank_nicolson = True
 
     def __init__(self, L, k_max=DEFAULT_K_MAX, n_interior=None):
+        L = _domain_lengths(L)
         if n_interior is None:
-            n_interior = int(np.ceil(k_max * L / np.pi)) - 1
-            while L / (n_interior + 1) > np.pi / k_max:
-                n_interior += 1
+            n = np.ceil(k_max * L / np.pi) - 1
+            while np.any(coarse := L / (n + 1) > np.pi / k_max):
+                n = n + coarse
+            n_interior = _one_resolution("n_interior", n)
         self.L = L
         self.n = n_interior
         self.h = L / (n_interior + 1)
-        if self.h > np.pi / k_max:
+        if np.any(self.h > np.pi / k_max):
             raise ResolutionTooCoarse(
-                f"h={self.h:g} > pi/k_max={np.pi / k_max:g}")
+                f"h={np.max(self.h):g} > pi/k_max={np.pi / k_max:g}")
         self.x = self.h * np.arange(1, n_interior + 1)
         j = np.arange(1, n_interior + 1)
         mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n_interior + 1)))**2
@@ -209,38 +225,21 @@ def check_bc(bc):
 def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
     """The KS system of boundary condition ``bc`` on a domain of length L,
     resolving wavenumbers up to ``k_max`` (or with the given ``n_modes`` or
-    ``n_interior``)."""
-    if not L > 0:
-        raise ValueError("domain length L must be positive")
-    check_bc(bc)
-    min_k = (2 * np.pi if bc == PERIODIC else np.pi) / L
-    if k_max < min_k:
-        raise ValueError(f"k_max_target={k_max:g} resolves no mode on L={L:g} "
-                         f"(need >= {min_k:g})")
-    model = PeriodicSpectralModel if bc == PERIODIC else OddPeriodicFDModel
-    return model(L, k_max, **resolution)
+    ``n_interior``).
 
-
-def stack_models(models):
-    """The lockstep system of G models built by :func:`make_model`.
-
-    A copy of the first model takes each member's ``PER_DOMAIN`` arrays,
-    stacked to shape ``(G, 1, ...)``, so its ``rhs`` maps a ``(G, rows, dim)``
-    block with member g's domain in row block g; each row gets the bits of
-    its own member's ``rhs``, and the copy builds its own steppers, whatever
-    the first model has integrated.  Members must share their boundary
-    condition and ``dim`` (and the periodic ``grid_size``); others raise
+    Given a sequence of G lengths, the lockstep system of their G models:
+    its ``rhs`` maps a ``(G, rows, dim)`` block with member g's domain in
+    row block g, each row with the bits of its own model's ``rhs``.  The
+    lengths must need one resolution (one ``dim``); others raise
     ``ValueError``.
     """
-    first = models[0]
-    for model in models[1:]:
-        if (type(model) is not type(first) or model.dim != first.dim
-                or getattr(model, "grid_size", None) != getattr(first, "grid_size", None)):
-            raise ValueError(f"cannot stack L={model.L:g} (dim {model.dim}) with "
-                             f"L={first.L:g} (dim {first.dim})")
-    stacked = copy.copy(first)
-    for name in first.PER_DOMAIN:
-        rows = [np.reshape(getattr(model, name), -1) for model in models]
-        setattr(stacked, name, np.stack(rows)[:, None])
-    stacked._steppers = {}
-    return stacked
+    lengths = np.ravel(L)
+    if not np.all(lengths > 0):
+        raise ValueError("domain length L must be positive")
+    check_bc(bc)
+    min_k = (2 * np.pi if bc == PERIODIC else np.pi) / np.min(lengths)
+    if k_max < min_k:
+        raise ValueError(f"k_max_target={k_max:g} resolves no mode on "
+                         f"L={np.min(lengths):g} (need >= {min_k:g})")
+    model = PeriodicSpectralModel if bc == PERIODIC else OddPeriodicFDModel
+    return model(L, k_max, **resolution)

@@ -14,11 +14,12 @@ Every trajectory is advanced in fixed steps ``dt`` of the scheme its system
 picks (``dynamics.make_stepper``); the configuration carries only the step.
 
 Several spectra run in lockstep from a ``(G, dim)`` start: G seeds of one
-system, or the G members of a lockstep system (``ks.stack_models``).  Their
-burn-in is one ``(G, 1, dim)`` block, each interval one ``(G, m+1, dim)``
-block and one stacked QR of a ``(G, dim, m)`` array, and the results gain
-a leading member axis.  Every member's numbers are bit-identical to its run
-alone; a single ``(dim,)`` start runs with 2-D blocks, as it always has.
+system, or the G members of a lockstep system (``ks.make_model`` of G
+lengths).  Their burn-in is one ``(G, 1, dim)`` block, each interval one
+``(G, m+1, dim)`` block and one stacked QR of a ``(G, dim, m)`` array, and
+the results gain a leading member axis.  Every member's numbers are
+bit-identical to its run alone; a single ``(dim,)`` start runs with 2-D
+blocks, as it always has.
 
 On a machine with a second usable core, the main process steps the last
 half of each interval's rows in a forked helper process (:class:`_RowHelper`)
@@ -155,9 +156,9 @@ def compute_spectrum(system, cfg, u0=None):
     standard-normal state; pass ``u0`` to start from a specific state instead.
     A ``(G, dim)`` ``u0`` runs G spectra in lockstep, one per row: G starts
     of one system, or one start per member of a lockstep system
-    (``ks.stack_models``), which needs one.  The result's arrays then lead
-    with the member axis; each member's numbers equal those of its run
-    alone.
+    (``ks.make_model`` of G lengths), which needs one.  The result's arrays
+    then lead with the member axis; each member's numbers equal those of its
+    run alone.
 
     The frame starts from the first m coordinate vectors.  For the KS
     models these are the lowest modes: the mean and the real parts of the

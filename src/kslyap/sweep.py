@@ -1,9 +1,10 @@
 """Sweep the Lyapunov-spectrum computation over a grid of domain sizes.
 
 Consecutive grid points of one model dimension run as one lockstep group
-(:func:`compute_group`, ``ks.stack_models``): their burn-in is one batch and
-each reorthonormalization interval another, so a group costs far less than
-its points alone, and every row is bit-identical to its point's run alone.
+(:func:`compute_group`, the system ``ks.make_model`` builds from their
+lengths): their burn-in is one batch and each reorthonormalization interval
+another, so a group costs far less than its points alone, and every row is
+bit-identical to its point's run alone.
 
 Results are durable: the rows of every completed group are appended to the
 output CSV immediately, the CSV's first line pins the configuration
@@ -39,8 +40,7 @@ import numpy as np
 from . import analysis
 from .dynamics import initial_state
 from .errors import RUN_FAILURES, FingerprintMismatch
-from .ks import (check_bc, make_model, stack_models, DEFAULT_K_MAX, ODD_PERIODIC,
-                 PERIODIC)
+from .ks import check_bc, make_model, DEFAULT_K_MAX, ODD_PERIODIC, PERIODIC
 from .lyapunov import LyapunovConfig, compute_spectrum
 
 #: Each boundary condition's numerics, merged into every fingerprint payload:
@@ -239,7 +239,7 @@ def compute_group(bc, Ls, k_max, lyap, seeds):
     """
     if len(Ls) == 1:
         return [compute_point(bc, Ls[0], k_max, lyap, seeds[0])]
-    system = stack_models([make_model(bc, L, k_max) for L in Ls])
+    system = make_model(bc, Ls, k_max)
     u0 = np.stack([initial_state(system.dim, seed) for seed in seeds])
     try:
         result = compute_spectrum(system, lyap, u0)
@@ -312,10 +312,6 @@ def run_sweep(plan, log=None):
     grid = plan.grid()
     groups = _groups(plan, [(idx, L) for idx, L in enumerate(grid)
                             if float(L) not in done])
-    for group in groups:  # a group's points share their dimension
-        dim = make_model(plan.bc, group[0][1], plan.k_max).dim
-        if plan.lyap.m > dim:
-            raise ValueError(f"m={plan.lyap.m} exceeds system dimension {dim}")
     if not os.path.exists(path):
         _write_sorted(plan, path, done)
     if groups:
@@ -336,12 +332,15 @@ def _groups(plan, todo):
     consecutive points with equal model dimension, cut to at most
     ``GROUP_ROWS // (m + 1)`` points, and small enough that there are at
     least ``workers`` groups when there are that many points.  Builds every
-    point's model, so a setting no model takes raises here."""
+    point's model and checks m against its dimension, so a setting no point
+    can run with raises here."""
     size = max(1, min(GROUP_ROWS // (plan.lyap.m + 1),
                       math.ceil(len(todo) / plan.workers)))
     groups, dim = [], None
     for idx, L in todo:
         point_dim = make_model(plan.bc, float(L), plan.k_max).dim
+        if plan.lyap.m > point_dim:
+            raise ValueError(f"m={plan.lyap.m} exceeds system dimension {point_dim}")
         if point_dim != dim or len(groups[-1]) == size:
             groups.append([])
             dim = point_dim

@@ -59,6 +59,16 @@ def test_simulate_writes_no_sample_past_t_end(tmp_path, capsys):
     assert [float(ln.split(",")[0]) for ln in data[1:]] == [0.0, 0.4, 0.8]
 
 
+@pytest.mark.parametrize("grid", [["--dt-out", "0"], ["--dt-out", "-0.5"],
+                                  ["--t-end", "-1"]], ids=" ".join)
+def test_simulate_refuses_an_output_grid_that_does_not_step_forward(tmp_path, capsys, grid):
+    out = tmp_path / "sim.csv"
+    code, _, err = run(["simulate", "--L", "22", "--out", str(out)] + grid, capsys)
+    assert code == 1
+    assert err == "error: simulate needs --dt-out > 0 and --t-end >= 0\n"
+    assert not out.exists()
+
+
 def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
     # each output interval is walked from t = 0; a blow-up in the third one,
     # 0.25 into it, is reported at t = 2.25

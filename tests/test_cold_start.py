@@ -1,7 +1,8 @@
-"""Cold start: the periodic path imports numpy alone, scipy loads on first
-use, and multiprocessing only when a spectrum starts a row helper.  Each
-test runs in a fresh interpreter, so an import put back at the top of a
-kslyap module shows up in its ``sys.modules``."""
+"""Cold start: the periodic path and the fits import numpy alone, scipy
+loads when the first odd model is built, and multiprocessing only when a
+spectrum starts a row helper.  Each test runs in a fresh interpreter, so an
+import put back at the top of a kslyap module shows up in its
+``sys.modules``."""
 
 import json
 import os
@@ -47,9 +48,8 @@ print(json.dumps({{"rcs": rcs, "loaded": loaded}}))
     got = fresh(code, tmp_path)
     assert got["rcs"] == [0, 0, 0]
     assert got["loaded"]["lyap"] == []
-    # the dky fit solves its triangular system with scipy.linalg
-    assert "scipy.linalg" in got["loaded"]["dky"]
-    assert "scipy.fft" not in got["loaded"]["dky"]
+    # the dky fit solves its least-squares system with numpy.linalg
+    assert got["loaded"]["dky"] == []
 
 
 def test_a_tiny_lyap_loads_no_multiprocessing(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from kslyap import (DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
                     compute_spectrum, diagonal_linear_system, initial_state, integrate,
-                    lorenz_system, make_model, stack_models)
+                    lorenz_system, make_model)
 from kslyap import cli, dynamics
 from kslyap.dynamics import (BLOWUP_NORM, _ETDRK4Stepper, _IMEXCNAB2Stepper,
                              _RK4Stepper, _step_count, make_stepper)
@@ -15,6 +15,10 @@ def constant_system(value=0.0, dim=1):
     def rhs(t, u):
         return np.full_like(u, value)
     return DynamicalSystem(dim=dim, rhs=rhs)
+
+
+class CrankNicolsonSystem(DynamicalSystem):
+    crank_nicolson = True
 
 
 def stiff_diagonal_system(rates):
@@ -95,11 +99,11 @@ def test_blow_up_carries_time():
 
 
 # every scheme: RK4 (no stiff operator), ETDRK4 (a diagonal one) and
-# IMEX-CNAB2 (a diagonal one with Crank-Nicolson)
-STIFF_OPERATORS = {"rk4": {},
-                   "etdrk4": {"stiff_linear_part": np.array([-1.0, -2.0])},
-                   "imex_cnab2": {"stiff_linear_part": np.array([-1.0, -2.0]),
-                                  "crank_nicolson": True}}
+# IMEX-CNAB2 (a diagonal one on a system whose class sets crank_nicolson)
+STIFF_OPERATORS = {"rk4": (DynamicalSystem, {}),
+                   "etdrk4": (DynamicalSystem, {"stiff_linear_part": np.array([-1.0, -2.0])}),
+                   "imex_cnab2": (CrankNicolsonSystem,
+                                  {"stiff_linear_part": np.array([-1.0, -2.0])})}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
@@ -111,7 +115,7 @@ def test_blow_up_detects_every_bad_value(bad):
     # step.  RK4 and ETDRK4 evaluate the RHS at the step's end, so they stop
     # within one step of t = 0.5; IMEX-CNAB2 evaluates it at the step's
     # start, so it stops up to one step later.
-    for scheme, operator in STIFF_OPERATORS.items():
+    for scheme, (cls, operator) in STIFF_OPERATORS.items():
         seen = []
 
         def rhs(t, u):
@@ -121,7 +125,7 @@ def test_blow_up_detects_every_bad_value(bad):
                 out[-1, 0] = bad
             return out
 
-        system = DynamicalSystem(dim=2, rhs=rhs, **operator)
+        system = cls(dim=2, rhs=rhs, **operator)
         assert type(make_stepper(system, DT)) is STEPPERS[scheme]
         with pytest.raises(IntegrationBlowUp) as err:
             integrate(system, np.ones((2, 2)), 1.0, DT)
@@ -177,7 +181,7 @@ def test_config_validation():
         with pytest.raises(ValueError):
             integrate(system, np.ones(3), 1.0, dt)
     with pytest.raises(ValueError):
-        DynamicalSystem(dim=2, rhs=lambda t, u: u, crank_nicolson=True)
+        CrankNicolsonSystem(dim=2, rhs=lambda t, u: u)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "odd"])
@@ -208,7 +212,7 @@ def test_lockstep_coefficients_are_each_members_own(bc, Ls):
     # a contour mean over a stacked lam rounds otherwise at L=100, so each
     # member's coefficients are built alone
     models = [make_model(bc, L) for L in Ls]
-    stacked = make_stepper(stack_models(models), 0.05)
+    stacked = make_stepper(make_model(bc, Ls), 0.05)
     names = (("e_full", "e_half", "q", "f1", "f2", "f3") if bc == "periodic"
              else ("gain", "inv"))
     for g, model in enumerate(models):
@@ -230,22 +234,6 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     for system in systems:
         compute_spectrum(system, cfg)
     assert built == [(system, 0.05) for system in systems]
-
-
-@pytest.mark.parametrize("bc, Ls", [("periodic", [21.9, 22.0]), ("odd", [41.0, 41.05])])
-def test_stack_built_after_its_first_member_stepped_builds_its_own_steppers(bc, Ls):
-    # the stack is a copy of its first member: it must not reuse the
-    # steppers that member built for its own, unstacked operator
-    models = [make_model(bc, L) for L in Ls]
-    integrate(models[0], initial_state(models[0].dim, 0), 1.0, 0.05)
-    stepped = models[0]._steppers[0.05]
-    stacked = stack_models(models)
-    block = np.stack([[initial_state(stacked.dim, g)] for g in range(len(Ls))])
-    got = integrate(stacked, block, 1.0, 0.05)
-    assert models[0]._steppers == {0.05: stepped}
-    assert stacked._steppers[0.05] is not stepped
-    fresh = stack_models([make_model(bc, L) for L in Ls])
-    assert got.tobytes() == integrate(fresh, block, 1.0, 0.05).tobytes()
 
 
 def _odd_system():

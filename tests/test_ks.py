@@ -4,7 +4,7 @@ import pytest
 from kslyap import (LyapunovConfig, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse, compute_spectrum,
                     diagonal_linear_system, initial_state, integrate, lorenz_system,
-                    make_model, stack_models)
+                    make_model)
 from kslyap import lyapunov
 from kslyap.dynamics import _ETDRK4Stepper, _IMEXCNAB2Stepper
 from odd_fd_reference import linear_matrix, stencil_rhs, to_grid
@@ -54,6 +54,8 @@ def test_odd_too_coarse():
 def test_make_model_validation():
     with pytest.raises(ValueError, match="L must be positive"):
         make_model("periodic", -1.0)
+    with pytest.raises(ValueError, match="L must be positive"):
+        make_model("odd", [41.0, 0.0])
     with pytest.raises(ValueError, match="resolves no mode"):
         make_model("periodic", 0.1, k_max=9.0)  # 2*pi/L > k_max
     with pytest.raises(ValueError, match="resolves no mode"):
@@ -110,7 +112,7 @@ def test_starting_frames(monkeypatch):
                                      ("odd", [41.0, 41.05])])
 def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
     models = [make_model(bc, L) for L in Ls]
-    system = stack_models(models)
+    system = make_model(bc, Ls)
     assert system.stiff_linear_part.shape == (len(Ls), 1, system.dim)
     block = np.stack([[initial_state(system.dim, 10 * g + r) for r in range(3)]
                       for g in range(len(Ls))])
@@ -119,13 +121,27 @@ def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
         assert np.array_equal(out[g], model.rhs(0.0, block[g]))
 
 
-@pytest.mark.parametrize("members", [
-    [("periodic", 21.7), ("periodic", 23.0)], [("odd", 41.0), ("odd", 41.5)],
-    [("periodic", 11.0), ("odd", 11.7)]])  # the last two both have dim 33
-def test_stack_models_refuses_members_of_another_dimension_or_model(members):
-    models = [make_model(bc, L) for bc, L in members]
-    with pytest.raises(ValueError, match="cannot stack"):
-        stack_models(models)
+@pytest.mark.parametrize("bc, Ls", [("periodic", [21.7, 21.8, 22.0]),
+                                     ("odd", [41.0, 41.05])])
+def test_a_lockstep_system_holds_every_members_domain(bc, Ls):
+    system = make_model(bc, Ls)
+    assert system.L.shape == (len(Ls), 1, 1)
+    assert system.L.ravel().tolist() == Ls
+    for g, L in enumerate(Ls):
+        model = make_model(bc, L)
+        assert np.array_equal(system.stiff_linear_part[g, 0], model.stiff_linear_part)
+        if bc == "periodic":
+            assert np.array_equal(system.k[g, 0], model.k)
+        else:
+            assert system.h[g, 0, 0] == model.h
+            assert np.array_equal(system.x[g, 0], model.x)
+
+
+@pytest.mark.parametrize("bc, Ls, name", [("periodic", [21.7, 23.0], "n_modes"),
+                                          ("odd", [41.0, 41.5], "n_interior")])
+def test_make_model_refuses_lengths_of_another_resolution(bc, Ls, name):
+    with pytest.raises(ValueError, match=f"one lockstep system needs one {name}"):
+        make_model(bc, Ls)
 
 
 def test_initial_condition_determinism():

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kslyap import (DynamicalSystem, IntegrationBlowUp, KslyapError, LyapunovConfig,
                     RankDeficient, lyapunov, burn_in, compute_spectrum, diagonal_linear_system,
                     initial_state, lorenz_system, make_model, propagate_frame,
-                    reorthonormalize, scan_reorthonormalization_interval,
-                    stack_models)
+                    reorthonormalize, scan_reorthonormalization_interval)
 
 DT = 0.01
 
@@ -195,10 +194,9 @@ def test_a_stack_of_starts_equals_the_single_runs(bc, L):
 
 
 def test_a_lockstep_system_needs_one_start_per_member():
-    models = [make_model("periodic", L) for L in (21.8, 22.0)]
     cfg = LyapunovConfig(m=2, tau=0.0, T=0.5, N=1, dt=0.05)
     with pytest.raises(ValueError, match="2 members"):
-        compute_spectrum(stack_models(models), cfg)
+        compute_spectrum(make_model("periodic", [21.8, 22.0]), cfg)
 
 
 # --- the row helper: a forked process steps the last half of each block ---
@@ -268,7 +266,7 @@ def test_a_split_spectrum_is_bit_identical(monkeypatch, helpers, bc, L, starts):
 @pytest.mark.parametrize("bc, Ls", [("periodic", (21.8, 22.0, 22.2)), ("odd", (41.0, 41.05))])
 def test_a_split_lockstep_group_is_bit_identical(monkeypatch, helpers, bc, Ls):
     # a (G, m+1, dim) block, m+1 = 5 rows split 3 + 2
-    system = stack_models([make_model(bc, L) for L in Ls])
+    system = make_model(bc, Ls)
     cfg = LyapunovConfig(m=4, tau=1.0, T=0.5, N=3, epsilon=1e-6, dt=0.05)
     u0 = np.stack([initial_state(system.dim, seed) for seed in range(len(Ls))])
     split = compute_spectrum(system, cfg, u0)

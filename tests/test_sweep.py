@@ -203,8 +203,7 @@ def test_pool_workers_start_no_row_helper(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("m, workers, sizes", [
-    (12, 1, [4, 3, 3]), (24, 1, [2, 2, 2, 1, 2, 1]), (12, 4, [3, 3, 1, 3]),
-    (60, 1, [1] * 10)])
+    (12, 1, [4, 3, 3]), (24, 1, [2, 2, 2, 1, 2, 1]), (12, 4, [3, 3, 1, 3])])
 def test_groups_are_consecutive_points_of_one_dimension(tmp_path, m, workers, sizes):
     # periodic n_modes is 15 from L=9.8 to 10.4 and 16 from 10.5 to 11.1
     lyap = LyapunovConfig(m=m, tau=1.0, T=0.5, N=1)
@@ -213,6 +212,13 @@ def test_groups_are_consecutive_points_of_one_dimension(tmp_path, m, workers, si
     groups = _groups(plan, _todo(plan))
     assert [len(g) for g in groups] == sizes
     assert [p for g in groups for p in g] == [(i, float(L)) for i, L in _todo(plan)]
+
+
+def test_a_group_is_one_point_when_its_rows_fill_the_block(tmp_path):
+    # m + 1 = 61 rows exceed GROUP_ROWS; periodic dim is 63 from L=21.0 to 21.3
+    plan = tiny_plan(tmp_path, L_start=21.0, L_end=21.3, dL=0.1,
+                     lyap=LyapunovConfig(m=60, tau=1.0, T=0.5, N=1))
+    assert _groups(plan, _todo(plan)) == [[(i, float(L))] for i, L in _todo(plan)]
 
 
 @pytest.mark.parametrize("bc, L_start, L_end, dL, m, size", [
