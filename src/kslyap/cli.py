@@ -21,7 +21,7 @@ from .errors import InsufficientData, IntegrationBlowUp, KslyapError
 from .ks import DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
 from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
-                    run_sweep, spectrum_record)
+                    run_sweep, spectrum_record, write_lines)
 
 _SPECTRUM = asdict(LyapunovConfig())
 _DOMAIN = {"bc": PERIODIC, "L": None, "kmax": DEFAULT_K_MAX}
@@ -113,6 +113,8 @@ def _parse_grid(text):
 def cmd_simulate(args):
     cfg = _effective(args)
     t_end, dt_out = float(cfg["t_end"]), float(cfg["dt_out"])
+    if not np.isfinite([t_end, dt_out]).all():
+        raise KslyapError("simulate needs finite --t-end and --dt-out")
     if not dt_out > 0 or not t_end >= 0:
         raise KslyapError("simulate needs --dt-out > 0 and --t-end >= 0")
     model = make_model(cfg["bc"], float(cfg["L"]), float(cfg["kmax"]))
@@ -132,8 +134,7 @@ def cmd_simulate(args):
                 raise IntegrationBlowUp(times[i - 1] + exc.time) from None
         _, u = model.to_physical(state)
         lines.append(_g17(t) + "," + ",".join(_g17(v) for v in u))
-    with open(cfg["out"], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(cfg["out"], lines)
     print(f"wrote {cfg['out']} ({times.size} time samples, {x.size} grid points)")
     return 0
 
@@ -171,11 +172,9 @@ def cmd_lyap(args):
         lines.append("T," + ",".join(f"lambda_{i}" for i in range(1, lyap.m + 1)))
         for T, row in zip(T_values, rows):
             lines.append(_g17(T) + "," + ",".join(_g17(v) for v in row))
-        text = "\n".join(lines) + "\n"
         if cfg["out"]:
-            with open(cfg["out"], "w") as fh:
-                fh.write(text)
-        print(text, end="")
+            write_lines(cfg["out"], lines)
+        print("\n".join(lines))
         return 0
 
     result = compute_spectrum(system, lyap)
@@ -187,8 +186,7 @@ def cmd_lyap(args):
         lines = _meta_lines("lyap", cfg)
         lines.append(header_row(lyap.m))
         lines.append(record_to_row(rec))
-        with open(cfg["out"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(cfg["out"], lines)
     return 0
 
 
@@ -214,12 +212,19 @@ def _stat_centers(records, halfwidth):
     return [c for c in Ls if any(abs(r.L - c) <= halfwidth for r in records)]
 
 
+def _read_results(cfg):
+    """The records of the sweep CSVs ``--results`` names; none is an error."""
+    records = [rec for path in str(cfg["results"]).split(",")
+               for rec in read_records(path)]
+    if not records:
+        raise InsufficientData(f"no data rows in {cfg['results']}")
+    return records
+
+
 def cmd_fit(args):
     cfg = _effective(args)
     p_grid = _parse_grid(str(cfg["p_grid"]))
-    records = []
-    for path in str(cfg["results"]).split(","):
-        records.extend(read_records(path))
+    records = _read_results(cfg)
     halfwidth = float(cfg["halfwidth"])
     if cfg["L_centers"]:
         centers = [float(v) for v in str(cfg["L_centers"]).split(",")]
@@ -239,18 +244,15 @@ def cmd_fit(args):
 
     out = str(cfg["out"])
     meta = _meta_lines("fit", cfg)
-    with open(out + "_stats.csv", "w") as fh:
-        fh.write("\n".join(meta + ["L,i,median,mad,count"] + [
-            f"{_g17(s.L_center)},{s.index},{_g17(s.median)},{_g17(s.mad)},{s.count}"
-            for s in stats]) + "\n")
-    with open(out + "_pscan.csv", "w") as fh:
-        fh.write("\n".join(meta + ["p,rms,mad"] + [
-            f"{_g17(p)},{_g17(r)},{_g17(d)}" for p, r, d in zip(p_grid, rms, mad)]) + "\n")
-    with open(out + "_fit.csv", "w") as fh:
-        fh.write("\n".join(meta + ["which,a,b,c,p,rms,mad,n_points"] + [
-            f"{name},{_g17(f.a)},{_g17(f.b)},{_g17(f.c)},{_g17(f.p)},"
-            f"{_g17(f.rms_residual)},{_g17(f.mad_residual)},{f.n_points}"
-            for name, f in (("best", best_fit), ("p1", unit_fit))]) + "\n")
+    write_lines(out + "_stats.csv", meta + ["L,i,median,mad,count"] + [
+        f"{_g17(s.L_center)},{s.index},{_g17(s.median)},{_g17(s.mad)},{s.count}"
+        for s in stats])
+    write_lines(out + "_pscan.csv", meta + ["p,rms,mad"] + [
+        f"{_g17(p)},{_g17(r)},{_g17(d)}" for p, r, d in zip(p_grid, rms, mad)])
+    write_lines(out + "_fit.csv", meta + ["which,a,b,c,p,rms,mad,n_points"] + [
+        f"{name},{_g17(f.a)},{_g17(f.b)},{_g17(f.c)},{_g17(f.p)},"
+        f"{_g17(f.rms_residual)},{_g17(f.mad_residual)},{f.n_points}"
+        for name, f in (("best", best_fit), ("p1", unit_fit))])
     print(f"best p = {best_p:g}; fit at p=1: a={unit_fit.a:.4f} "
           f"b={unit_fit.b:.4f} c={unit_fit.c:.4f}")
     return 0
@@ -258,10 +260,7 @@ def cmd_fit(args):
 
 def cmd_dky(args):
     cfg = _effective(args)
-    records = []
-    for path in str(cfg["results"]).split(","):
-        records.extend(read_records(path))
-    records.sort(key=lambda r: r.L)
+    records = sorted(_read_results(cfg), key=lambda r: r.L)
     # an unsaturated row's D_KY is clipped to m, so like a failed row it stays
     # in the table but not in the fit
     L_min = float(cfg["Lmin_fit"])
@@ -278,8 +277,7 @@ def cmd_dky(args):
     lines.append("L,dky,flag")
     for r in records:
         lines.append(f"{_g17(r.L)},{_g17(r.dky)},{r.flag}")
-    with open(cfg["out"], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(cfg["out"], lines)
     print(f"D_KY ~= {slope:.4f} L + {intercept:.4f} (rms {rms:.4f}, "
           f"L >= {cfg['Lmin_fit']}{note})")
     return 0

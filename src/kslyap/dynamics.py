@@ -264,8 +264,8 @@ def _step_count(span, dt):
     """Full steps plus optional remainder so a walk of ``span`` lands exactly
     on its end; a span within rounding of a whole number of steps is walked
     as whole steps."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     ratio = span / dt
     n = round(ratio)
     if abs(ratio - n) <= 4 * np.finfo(float).eps * max(1.0, abs(ratio)):

@@ -20,8 +20,8 @@ Two discretizations are provided for the two boundary conditions:
                    diagonal.
 
 :func:`make_model` builds the model of a boundary condition on a domain of
-length L; both models resolve wavenumbers up to at least ``k_max``
-(default 9).
+length L, resolving wavenumbers up to at least ``k_max`` (default 9); L and
+``k_max`` alone fix its resolution (``n_modes`` or ``n_interior``).
 Each model is a ``dynamics.DynamicalSystem``: it declares the diagonal of
 its stiff linear operator, which picks its integrator
 (``dynamics.make_stepper``): the periodic model's ``k^2 - k^4`` runs with
@@ -85,10 +85,9 @@ class PeriodicSpectralModel(DynamicalSystem):
     """The periodic KS system, pseudospectral; integrated by ETDRK4.  ``L``
     is one length or a sequence (see :func:`make_model`)."""
 
-    def __init__(self, L, k_max=DEFAULT_K_MAX, n_modes=None):
+    def __init__(self, L, k_max=DEFAULT_K_MAX):
         L = _domain_lengths(L)
-        if n_modes is None:
-            n_modes = _one_resolution("n_modes", np.ceil(k_max * L / (2 * np.pi)))
+        n_modes = _one_resolution("n_modes", np.ceil(k_max * L / (2 * np.pi)))
         if n_modes < 4:
             raise ResolutionTooCoarse(
                 f"n_modes={n_modes} < 4 for L={np.max(L):g}, k_max={k_max:g}")
@@ -129,20 +128,16 @@ class PeriodicSpectralModel(DynamicalSystem):
         out[..., n + 1 :] -= self._half_k[..., 1:] * sq[..., 1:, 0]
         return out[0] if np.ndim(state) == 1 else out
 
-    def to_physical(self, state, n_points=None):
-        """Evaluate u(x) on a uniform grid; returns (x, u)."""
-        if n_points is None:
-            n_points = self.grid_size
-        n = self.n_modes
-        if n_points < 2 * n + 1:
-            raise ValueError("n_points too small to represent the retained modes")
+    def to_physical(self, state):
+        """(x, u(x)) on the ``grid_size`` uniform points of the physical grid."""
+        n, M = self.n_modes, self.grid_size
         state = np.atleast_1d(np.asarray(state, dtype=float))
         coeffs = state[..., : n + 1].astype(complex)
         coeffs[..., 1:] += 1j * state[..., n + 1 :]
-        full = np.zeros(n_points // 2 + 1, dtype=complex)
-        full[: n + 1] = coeffs * n_points
-        x = self.L * np.arange(n_points) / n_points
-        return x, np.fft.irfft(full, n_points)
+        full = np.zeros(M // 2 + 1, dtype=complex)
+        full[: n + 1] = coeffs * M
+        x = self.L * np.arange(M) / M
+        return x, np.fft.irfft(full, M)
 
     def field_mean(self, state):
         return float(np.asarray(state)[..., 0])
@@ -167,23 +162,19 @@ class OddPeriodicFDModel(DynamicalSystem):
 
     crank_nicolson = True
 
-    def __init__(self, L, k_max=DEFAULT_K_MAX, n_interior=None):
+    def __init__(self, L, k_max=DEFAULT_K_MAX):
         L = _domain_lengths(L)
-        if n_interior is None:
-            n = np.ceil(k_max * L / np.pi) - 1
-            while np.any(coarse := L / (n + 1) > np.pi / k_max):
-                n = n + coarse
-            n_interior = _one_resolution("n_interior", n)
+        # the fewest interior points whose spacing h = L/(n+1) is <= pi/k_max
+        n = np.ceil(k_max * L / np.pi) - 1
+        while np.any(coarse := L / (n + 1) > np.pi / k_max):
+            n = n + coarse
+        self.n = n = _one_resolution("n_interior", n)
         self.L = L
-        self.n = n_interior
-        self.h = L / (n_interior + 1)
-        if np.any(self.h > np.pi / k_max):
-            raise ResolutionTooCoarse(
-                f"h={np.max(self.h):g} > pi/k_max={np.pi / k_max:g}")
-        self.x = self.h * np.arange(1, n_interior + 1)
-        j = np.arange(1, n_interior + 1)
-        mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n_interior + 1)))**2
-        super().__init__(n_interior, stiff_linear_part=-(mu * mu + mu))
+        self.h = L / (n + 1)
+        self.x = self.h * np.arange(1, n + 1)
+        j = np.arange(1, n + 1)
+        mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n + 1)))**2
+        super().__init__(n, stiff_linear_part=-(mu * mu + mu))
         from scipy.fft import dst
         self._dst = dst
 
@@ -222,10 +213,9 @@ def check_bc(bc):
         raise ValueError(f"bc must be {PERIODIC!r} or {ODD_PERIODIC!r}")
 
 
-def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
+def make_model(bc, L, k_max=DEFAULT_K_MAX):
     """The KS system of boundary condition ``bc`` on a domain of length L,
-    resolving wavenumbers up to ``k_max`` (or with the given ``n_modes`` or
-    ``n_interior``).
+    resolving wavenumbers up to ``k_max``; the two fix its resolution.
 
     Given a sequence of G lengths, the lockstep system of their G models:
     its ``rhs`` maps a ``(G, rows, dim)`` block with member g's domain in
@@ -234,12 +224,14 @@ def make_model(bc, L, k_max=DEFAULT_K_MAX, **resolution):
     ``ValueError``.
     """
     lengths = np.ravel(L)
-    if not np.all(lengths > 0):
-        raise ValueError("domain length L must be positive")
+    if not np.all(np.isfinite(lengths) & (lengths > 0)):
+        raise ValueError("domain length L must be positive and finite")
     check_bc(bc)
+    if not np.isfinite(k_max):
+        raise ValueError(f"k_max={k_max:g} must be finite")
     min_k = (2 * np.pi if bc == PERIODIC else np.pi) / np.min(lengths)
     if k_max < min_k:
         raise ValueError(f"k_max_target={k_max:g} resolves no mode on "
                          f"L={np.min(lengths):g} (need >= {min_k:g})")
     model = PeriodicSpectralModel if bc == PERIODIC else OddPeriodicFDModel
-    return model(L, k_max, **resolution)
+    return model(L, k_max)

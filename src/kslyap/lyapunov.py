@@ -73,8 +73,9 @@ class LyapunovConfig:
     def __post_init__(self):
         if self.m <= 0 or self.N <= 0:
             raise ValueError("m and N must be positive")
-        if self.tau < 0 or not self.T > 0 or not self.epsilon > 0 or not self.dt > 0:
-            raise ValueError("tau >= 0, T > 0, epsilon > 0, dt > 0 required")
+        if not (0 <= self.tau < np.inf and 0 < self.T < np.inf
+                and 0 < self.epsilon < np.inf and 0 < self.dt < np.inf):
+            raise ValueError("finite tau >= 0, T > 0, epsilon > 0, dt > 0 required")
         if self.epsilon > 1e-2:
             warnings.warn("epsilon > 1e-2 is large relative to typical state scales")
 
@@ -304,8 +305,8 @@ def scan_reorthonormalization_interval(system, cfg, T_values):
     is raised.
     """
     T_values = np.asarray(T_values, dtype=float)
-    if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
-        raise ValueError("T_values must be positive and strictly ascending")
+    if not np.all((T_values > 0) & (T_values < np.inf)) or np.any(np.diff(T_values) <= 0):
+        raise ValueError("T_values must be positive, finite and strictly ascending")
     rows = np.full((T_values.size, cfg.m), np.nan)
     for idx, T in enumerate(T_values):
         try:

@@ -96,6 +96,8 @@ class SweepPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if not np.isfinite([self.L_start, self.L_end, self.dL]).all():
+            raise ValueError("L_start, L_end and dL must be finite")
         if self.L_start > self.L_end:
             raise ValueError("L_start must be <= L_end")
         if not self.dL > 0 or self.workers < 1:
@@ -169,14 +171,14 @@ def row_to_record(line):
         exponents=np.array([float(v) for v in cells[6:]]))
 
 
-def read_records(path, check_dky=True):
-    """Load a sweep CSV; optionally re-derive D_KY from the stored exponents
-    and verify consistency to 1e-9.
+def read_records(path):
+    """Load a sweep CSV, re-deriving each row's D_KY from its exponents.
 
-    A row cut short is refused with a ``ValueError`` naming the file and
-    line: a final line without its newline (an interrupted write; resume
-    cuts such a line off before reading) or a row whose cell count differs
-    from the header's."""
+    A row that does not hold together is refused with a ``ValueError``
+    naming the file and line: a row before the header, a final line without
+    its newline (an interrupted write; resume cuts such a line off before
+    reading), a row whose cell count differs from the header's, or a row
+    (not failed) whose stored D_KY is more than 1e-9 from its exponents'."""
     records = []
     n_cells = None
     with open(path) as fh:
@@ -188,18 +190,20 @@ def read_records(path, check_dky=True):
             if line.startswith("L,"):
                 n_cells = cells
                 continue
+            where = f"{path}:{lineno}"
+            if n_cells is None:
+                raise ValueError(f"{where}: row before the header line 'L,bc,...'")
             if not raw.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: last row has no line end; "
+                raise ValueError(f"{where}: last row has no line end; "
                                  "it was cut short by an interrupted write")
             if cells != n_cells:
-                raise ValueError(f"{path}:{lineno}: row has {cells} cells, "
-                                 f"the header {n_cells}")
+                raise ValueError(f"{where}: row has {cells} cells, the header {n_cells}")
             rec = row_to_record(line)
-            if check_dky and "failed" not in rec.flags:
+            if "failed" not in rec.flags:
                 ky = analysis.kaplan_yorke(rec.exponents)
                 if abs(ky.dimension - rec.dky) > 1e-9:
-                    raise ValueError(
-                        f"stored D_KY {rec.dky!r} inconsistent with exponents at L={rec.L:g}")
+                    raise ValueError(f"{where}: stored D_KY {rec.dky!r} inconsistent "
+                                     f"with exponents at L={rec.L:g}")
             records.append(rec)
     return records
 
@@ -265,7 +269,7 @@ def _load_existing(plan, path):
     # L_start, which the fingerprint leaves out) must not be mixed in either
     index = {float(L): idx for idx, L in enumerate(plan.grid())}
     done = {}
-    for rec in read_records(path, check_dky=False):
+    for rec in read_records(path):
         idx = index.get(rec.L)
         if idx is None or rec.seed != plan.point_seed(idx):
             raise FingerprintMismatch(
@@ -285,13 +289,17 @@ def _cut_torn_row(path):
 
 def _write_sorted(plan, path, records):
     echo = " ".join(f"{k}={v}" for k, v in sorted(plan.echo().items()))
-    lines = [FINGERPRINT_LINE + plan.fingerprint(), f"# {echo}",
-             header_row(plan.lyap.m)]
-    for L in sorted(records):
-        lines.append(record_to_row(records[L]))
+    rows = [record_to_row(records[L]) for L in sorted(records)]
+    write_lines(path, [FINGERPRINT_LINE + plan.fingerprint(), f"# {echo}",
+                       header_row(plan.lyap.m), *rows])
+
+
+def write_lines(path, lines):
+    """Write ``lines``, each with a newline, to a temporary file that then
+    replaces ``path``: a write cut short leaves the previous file whole."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     os.replace(tmp, path)
 
 

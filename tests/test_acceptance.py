@@ -246,7 +246,7 @@ def test_dimension_recompute_invariant(tmp_path):
                      lyap=lyap, output_path=out)
     run_sweep(plan)
     worst = 0.0
-    for rec in read_records(out, check_dky=True):
+    for rec in read_records(out):
         worst = max(worst, abs(kaplan_yorke(rec.exponents).dimension - rec.dky))
     _report("dimension recompute", worst <= 1e-9, f"worst |delta D_KY| = {worst:.2e}")
 

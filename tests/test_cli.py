@@ -69,6 +69,30 @@ def test_simulate_refuses_an_output_grid_that_does_not_step_forward(tmp_path, ca
     assert not out.exists()
 
 
+TINY = ["--m", "4", "--tau", "0", "--T", "0.05", "--N", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyap", "--L", "inf"] + TINY,
+    ["lyap", "--L", "22", "--kmax", "inf"] + TINY,
+    ["lyap", "--L", "22", "--kmax", "nan"] + TINY,
+    ["lyap", "--L", "22"] + TINY + ["--tau", "inf"],
+    ["lyap", "--L", "22"] + TINY + ["--T", "inf"],
+    ["lyap", "--system", "lorenz"] + TINY + ["--tau", "inf"],
+    ["simulate", "--L", "22", "--t-end", "inf"],
+    ["simulate", "--L", "22", "--dt-out", "nan"],
+    ["simulate", "--L", "22", "--t-end", "1", "--dt", "inf"],
+    ["sweep", "--L-start", "22", "--L-end", "inf"] + TINY,
+    ["sweep", "--L-start", "22", "--L-end", "23", "--dL", "nan"] + TINY,
+    ["sweep", "--L-start", "22", "--L-end", "22", "--kmax", "inf"] + TINY,
+], ids=" ".join)
+def test_a_non_finite_value_is_refused_before_any_file_is_written(tmp_path, capsys, argv):
+    code, _, err = run(argv + ["--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
     # each output interval is walked from t = 0; a blow-up in the third one,
     # 0.25 into it, is reported at t = 2.25
@@ -372,6 +396,44 @@ def _failed_rows(Ls, m=6):
     return [record_to_row(SpectrumRecord(
         L=L, bc="periodic", seed=0, exponents=np.full(m, np.nan), dky=np.nan, j=0,
         flags=frozenset({"failed"}))) + "\n" for L in Ls]
+
+
+@pytest.mark.parametrize("command", ["fit", "dky"])
+def test_results_without_a_data_row_are_refused_by_name(tmp_path, capsys, command):
+    from kslyap.sweep import header_row
+    results = tmp_path / "empty.csv"
+    results.write_text(f"# fingerprint=0\n{header_row(4)}\n")
+    code, _, err = run([command, "--results", str(results),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (1, f"error: no data rows in {results}\n")
+    assert list(tmp_path.iterdir()) == [results]
+
+
+def test_every_output_file_is_written_through_one_helper(tmp_path, monkeypatch, capsys):
+    # each output replaces its path whole (sweep.write_lines), so a command
+    # cut short leaves no torn file
+    written = []
+
+    def spy(path, lines):
+        written.append(str(path).removeprefix(f"{tmp_path}/"))
+        write_lines(path, lines)
+
+    from kslyap.sweep import write_lines
+    monkeypatch.setattr(cli, "write_lines", spy)
+    results = tmp_path / "synth.csv"
+    _write_synthetic_sweep(results)
+    for argv, out in [
+            (["simulate", "--L", "22", "--t-end", "0"], "sim.csv"),
+            (["lyap", "--system", "diaglin", "--tau", "0", "--T", "1", "--N", "2"],
+             "lyap.csv"),
+            (["lyap", "--system", "diaglin", "--tau", "0", "--N", "2", "--scan-T", "1"],
+             "scan.csv"),
+            (["fit", "--results", str(results)], "fit"),
+            (["dky", "--results", str(results)], "dky.csv")]:
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    assert written == ["sim.csv", "lyap.csv", "scan.csv", "fit_stats.csv",
+                       "fit_pscan.csv", "fit_fit.csv", "dky.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["synth.csv"])
 
 
 def test_fit_leaves_failed_rows_out_of_the_windows(tmp_path, capsys):

@@ -31,8 +31,9 @@ def test_periodic_neutral_wavenumber():
 
 
 def test_periodic_too_coarse():
-    with pytest.raises(ResolutionTooCoarse):
-        PeriodicSpectralModel(22.0, n_modes=3)
+    # ceil(0.8 * 22 / (2 pi)) = 3 modes
+    with pytest.raises(ResolutionTooCoarse, match="n_modes=3 < 4"):
+        PeriodicSpectralModel(22.0, k_max=0.8)
 
 
 def test_odd_grid_count_l18():
@@ -46,11 +47,6 @@ def test_odd_zero_is_fixed_point():
     assert np.all(model.rhs(0.0, np.zeros(model.dim)) == 0.0)
 
 
-def test_odd_too_coarse():
-    with pytest.raises(ResolutionTooCoarse):
-        OddPeriodicFDModel(18.0, n_interior=20)
-
-
 def test_make_model_validation():
     with pytest.raises(ValueError, match="L must be positive"):
         make_model("periodic", -1.0)
@@ -60,14 +56,25 @@ def test_make_model_validation():
         make_model("periodic", 0.1, k_max=9.0)  # 2*pi/L > k_max
     with pytest.raises(ValueError, match="resolves no mode"):
         make_model("odd", 0.3, k_max=9.0)  # pi/L > k_max
-    make_model("odd", 0.4, k_max=9.0, n_interior=1)  # pi/L <= k_max
+    assert make_model("odd", 0.4, k_max=9.0).n == 1  # pi/L <= k_max
     with pytest.raises(ValueError, match="bc must be"):
         make_model("rigid", 22.0)
 
 
-def _sine_mode_rate(n_interior):
-    """FD eigenvalue of the slowest sine mode on L = 2*pi."""
-    model = OddPeriodicFDModel(2 * np.pi, n_interior=n_interior)
+@pytest.mark.parametrize("bc, L, k_max, message", [
+    ("periodic", np.inf, 9.0, "L must be positive and finite"),
+    ("odd", [41.0, np.nan], 9.0, "L must be positive and finite"),
+    ("periodic", 22.0, np.inf, "k_max=inf must be finite"),
+    ("odd", 41.0, np.nan, "k_max=nan must be finite")])
+def test_make_model_refuses_non_finite_values(bc, L, k_max, message):
+    with pytest.raises(ValueError, match=message):
+        make_model(bc, L, k_max)
+
+
+def _sine_mode_rate(n):
+    """FD eigenvalue of the slowest sine mode on L = 2*pi, n interior points."""
+    model = OddPeriodicFDModel(2 * np.pi, k_max=(n + 0.5) / 2)
+    assert model.n == n
     amp = 1e-8
     u = amp * np.sin(np.pi * model.x / model.L)
     return np.mean(to_grid(model.rhs(0.0, to_grid(u))) / u)
@@ -218,17 +225,19 @@ def test_linear_dispersion_odd(j):
 
 def test_periodic_refinement_consistency():
     coarse = PeriodicSpectralModel(22.0)
-    fine = PeriodicSpectralModel(22.0, n_modes=2 * coarse.n_modes)
+    fine = PeriodicSpectralModel(22.0, k_max=18.0)
+    assert fine.n_modes == 2 * coarse.n_modes
+    assert fine.grid_size == 2 * coarse.grid_size
     u0 = initial_state(coarse.dim, 5)
     fine_u0 = np.zeros(fine.dim)
     fine_u0[: coarse.n_modes + 1] = u0[: coarse.n_modes + 1]
     fine_u0[fine.n_modes + 1: fine.n_modes + 1 + coarse.n_modes] = u0[coarse.n_modes + 1:]
     a = integrate(coarse, u0, 10.0, DT)
     b = integrate(fine, fine_u0, 10.0, DT)
-    n_pts = 4 * fine.n_modes
-    _, pa = coarse.to_physical(a, n_pts)
-    _, pb = fine.to_physical(b, n_pts)
-    assert np.max(np.abs(pa - pb)) < 1e-4
+    # the coarse grid is every other point of the fine one
+    _, pa = coarse.to_physical(a)
+    _, pb = fine.to_physical(b)
+    assert np.max(np.abs(pa - pb[::2])) < 1e-4
 
 
 def test_odd_boundary_invariants_hold():

@@ -148,6 +148,17 @@ def test_scan_interval_linear_flow_is_constant():
     assert np.max(rows.max(axis=0) - rows.min(axis=0)) < 1e-3
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_scan_interval_refuses_a_non_finite_T_before_computing(monkeypatch, bad):
+    def compute(*args):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(lyapunov, "compute_spectrum", compute)
+    cfg = LyapunovConfig(m=2, tau=0.0, T=1.0, N=2, dt=DT)
+    with pytest.raises(ValueError, match="positive, finite and strictly ascending"):
+        scan_reorthonormalization_interval(lorenz_system(), cfg, [0.5, bad])
+
+
 def test_scan_interval_records_failures_as_nan():
     # strongly contracting flow underflows the frame for large T; declared
     # as a stiff diagonal part so that ETDRK4 integrates it exactly
@@ -175,6 +186,13 @@ def test_config_validation():
         LyapunovConfig(dt=0.0)
     with pytest.warns(UserWarning):
         LyapunovConfig(epsilon=0.5)
+
+
+@pytest.mark.parametrize("field", ["tau", "T", "epsilon", "dt"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_config_refuses_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite tau >= 0"):
+        LyapunovConfig(**{field: value})
 
 
 @pytest.mark.parametrize("bc, L", [("periodic", 22.0), ("odd", 41.0)])

@@ -31,6 +31,13 @@ def test_plan_validation(tmp_path):
         tiny_plan(tmp_path, dL=0.0)
 
 
+@pytest.mark.parametrize("field", ["L_start", "L_end", "dL"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_plan_refuses_non_finite_values(tmp_path, field, value):
+    with pytest.raises(ValueError, match="L_start, L_end and dL must be finite"):
+        tiny_plan(tmp_path, **{field: value})
+
+
 def test_run_sweep_produces_one_record_per_point(tmp_path):
     plan = tiny_plan(tmp_path)
     records = run_sweep(plan)
@@ -295,6 +302,41 @@ def test_read_records_checks_dky_consistency(tmp_path):
         fh.write("\n".join(text))
     with pytest.raises(ValueError):
         read_records(plan.output_path)
+
+
+def test_resume_refuses_a_stored_dky_that_disagrees_with_its_exponents(tmp_path):
+    plan = tiny_plan(tmp_path, L_end=11.0)
+    run_sweep(plan)
+    text = Path(plan.output_path).read_text()
+    row = next(ln for ln in text.splitlines() if ln.startswith("10,"))
+    cells = row.split(",")
+    cells[4] = "999.0"
+    Path(plan.output_path).write_text(text.replace(row, ",".join(cells)))
+    with pytest.raises(ValueError, match=r"out\.csv:4: stored D_KY 999\.0 inconsistent"):
+        run_sweep(tiny_plan(tmp_path))
+
+
+def test_read_records_refuses_a_row_before_the_header(tmp_path):
+    path = tmp_path / "headless.csv"
+    rec = SpectrumRecord(L=22.0, bc="periodic", seed=0, dky=1.5, j=1,
+                         exponents=np.array([0.1, -0.2]))
+    path.write_text(f"# no header\n{record_to_row(rec)}\n{header_row(2)}\n")
+    with pytest.raises(ValueError, match=r"headless\.csv:2: row before the header"):
+        read_records(str(path))
+
+
+def test_write_lines_cut_short_leaves_the_previous_file_whole(tmp_path):
+    path = tmp_path / "table.csv"
+    sweep.write_lines(str(path), ["# kept", "a,b", "1,2"])
+    assert path.read_text() == "# kept\na,b\n1,2\n"
+
+    def lines():
+        yield "# replaced"
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError):
+        sweep.write_lines(str(path), lines())
+    assert path.read_text() == "# kept\na,b\n1,2\n"
 
 
 def test_record_row_round_trip():
