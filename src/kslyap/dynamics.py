@@ -27,6 +27,14 @@ calls :func:`make_stepper` only on a miss.  Every walk restarts the stepper
 it takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
 the explicit part, as a newly built stepper does; results do not depend on
 what the system integrated before.
+
+Every stepper evaluates its system through ``DynamicalSystem.rhs_batch``:
+ETDRK4 four times a step, IMEX-CNAB2 once.  Both take the explicit part
+N(v) = f(v) - lam v from it (``nonlinear=True``), which a KS model forms
+with one product lam v.  The periodic KS model and the ETDRK4 stepper keep
+work arrays per block shape and return new arrays, so one system and its
+steppers must not be stepped from two threads at once (a forked process
+has its own copies).
 """
 
 import numpy as np
@@ -50,7 +58,9 @@ class DynamicalSystem:
     subclass (the KS models of ``ks``) defines ``rhs`` as a method instead
     and passes none.  ``stiff_linear_part`` has shape ``(dim,)``, or
     ``(G, 1, dim)`` for a lockstep system of G members.  ``rhs`` must return
-    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.
+    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.  A
+    subclass may override ``_nonlinear`` to return N(v) = f(v) - lam v with
+    the bits of ``rhs`` minus ``lam * v``.
     The system keeps the steppers :func:`integrate` builds for it, one per
     step size, so its operator is not to be changed after the first
     integration.
@@ -73,9 +83,22 @@ class DynamicalSystem:
         self.stiff_linear_part = stiff_linear_part
         self._steppers = {}
 
-    def rhs_batch(self, t, states):
-        """Evaluate the RHS for a (..., batch, dim) block of states."""
-        return self.rhs(t, np.asarray(states, dtype=float))
+    def rhs_batch(self, t, states, nonlinear=False):
+        """Evaluate the RHS for a (..., batch, dim) block of states; with
+        ``nonlinear``, the part the ETDRK4 and IMEX-CNAB2 steppers take
+        explicitly, N(v) = f(v) - lam v (``lam`` the ``stiff_linear_part``).
+        Every stepper evaluates its system through this method."""
+        states = np.asarray(states, dtype=float)
+        if nonlinear:
+            return self._nonlinear(t, states)
+        return self.rhs(t, states)
+
+    def _nonlinear(self, t, states):
+        """N(v) = f(v) - lam v; a model whose ``rhs`` forms lam v itself
+        overrides this to form it once, with the same bits."""
+        n = self.rhs(t, states)
+        n -= self.stiff_linear_part * states
+        return n
 
 
 def initial_state(dim, seed):
@@ -138,13 +161,12 @@ class _ETDRK4Stepper(_Stepper):
     N_CONTOUR = 32
 
     def __init__(self, system, dt):
-        lam = system.stiff_linear_part
         self.f = system.rhs_batch
-        self.lam = lam
         self.dt = dt
         self.e_full, self.e_half, self.q, self.f1, self.f2, self.f3 = _per_member(
-            lambda row: self._coefficients(row, dt), lam)
+            lambda row: self._coefficients(row, dt), system.stiff_linear_part)
         self._2f2 = 2 * self.f2
+        self._work = {}  # block shape -> three work arrays of that shape
 
     @classmethod
     def _coefficients(cls, lam, h):
@@ -161,36 +183,37 @@ class _ETDRK4Stepper(_Stepper):
         f3 = h * np.real(np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1))
         return e_full, e_half, q, f1, f2, f3
 
-    def _nl(self, t, u):
-        n = self.f(t, u)
-        n -= self.lam * u
-        return n
-
     def step(self, t, u):
         """One step of
 
             a = E/2 u + Q N(u),   b = E/2 u + Q N(a),   c = E/2 a + Q (2 N(b) - N(u)),
             u' = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c),
 
-        with N(v) = f(v) - lam v, evaluated in place in that order of
-        operations.
+        with N(v) = f(v) - lam v from the system, evaluated in place in that
+        order of operations.  a, b and c live in work arrays the stepper
+        keeps per block shape; the returned u' is a new array.
         """
-        h, q = self.dt, self.q
-        n0 = self._nl(t, u)
-        half_u = self.e_half * u
-        a = q * n0
+        h, q, e_half = self.dt, self.q, self.e_half
+        work = self._work.get(u.shape)
+        if work is None:
+            shape = np.broadcast_shapes(e_half.shape, u.shape)
+            work = self._work[u.shape] = tuple(np.empty(shape) for _ in range(3))
+        half_u, a, b = work
+        n0 = self.f(t, u, nonlinear=True)
+        np.multiply(e_half, u, out=half_u)
+        np.multiply(q, n0, out=a)
         a += half_u
-        na = self._nl(t + h / 2, a)
-        b = q * na
+        na = self.f(t + h / 2, a, nonlinear=True)
+        np.multiply(q, na, out=b)
         b += half_u
-        nb = self._nl(t + h / 2, b)
-        c = 2 * nb
+        nb = self.f(t + h / 2, b, nonlinear=True)
+        c = np.multiply(nb, 2, out=half_u)  # E/2 u is spent: c takes its array
         c -= n0
         c *= q
-        c += self.e_half * a
-        nc = self._nl(t + h, c)
+        c += np.multiply(e_half, a, out=b)
+        nc = self.f(t + h, c, nonlinear=True)
         out = self.e_full * u
-        out += self.f1 * n0
+        out += np.multiply(self.f1, n0, out=a)
         na += nb
         na *= self._2f2
         out += na
@@ -212,7 +235,6 @@ class _IMEXCNAB2Stepper(_Stepper):
     def __init__(self, system, dt):
         lam = system.stiff_linear_part
         self.f = system.rhs_batch
-        self.lam = lam
         self.dt = dt
         self.gain = 1 + (dt / 2) * lam
         self.inv = 1 / (1 - (dt / 2) * lam)
@@ -223,8 +245,7 @@ class _IMEXCNAB2Stepper(_Stepper):
 
     def step(self, t, u):
         dt = self.dt
-        nl = self.f(t, u)
-        nl -= self.lam * u
+        nl = self.f(t, u, nonlinear=True)
         if self._nl_prev is None:
             expl = nl * dt
         else:

@@ -59,9 +59,10 @@ def _domain_lengths(L):
 
 def _one_resolution(name, needed):
     """The resolution ``needed`` holds for every domain, as an int; domains
-    that need different ones cannot share one lockstep system."""
-    values = np.unique(needed)
-    if values.size > 1:
+    that need different ones cannot share one lockstep system.  (Sorted
+    from a set: ``np.unique`` would import ``numpy.ma`` on a cold start.)"""
+    values = sorted(set(np.ravel(needed).tolist()))
+    if len(values) > 1:
         raise ValueError(f"one lockstep system needs one {name}; "
                          f"its lengths need {', '.join(f'{v:g}' for v in values)}")
     return int(values[0])
@@ -100,8 +101,13 @@ class PeriodicSpectralModel(DynamicalSystem):
         growth = self.k**2 - self.k**4
         super().__init__(2 * n_modes + 1, stiff_linear_part=np.concatenate(
             [growth, growth[..., 1:]], axis=-1))
-        self._half_k = 0.5 * self.k
+        # the quadratic term's factors on [Im sq_0..n, Re sq_1..n], +k/2 then
+        # -k/2, so that one product forms it: (-k/2) x = -(k/2 x) exactly,
+        # and x + (-y) rounds as x - y
+        half_k = 0.5 * self.k
+        self._signed_half_k = np.concatenate([half_k, -half_k[..., 1:]], axis=-1)
         self._inv_grid_size = 1.0 / self.grid_size
+        self._work = {}  # block shape -> work arrays of that shape
 
     def rhs(self, t, state):
         """(k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state.
@@ -112,20 +118,50 @@ class PeriodicSpectralModel(DynamicalSystem):
         in the same order, so the result has the same bits (numpy's complex
         ``/ M`` multiplies by ``1 / M``).
         """
+        return self._evaluate(state, nonlinear=False)
+
+    def _nonlinear(self, t, state):
+        return self._evaluate(state, nonlinear=True)
+
+    def _work_arrays(self, shape):
+        """The work arrays of a block of ``shape``: the padded spectrum and
+        the squared field's spectrum (complex, each with a ``(..., 2)`` float
+        view of its real and imaginary parts), the physical grid, and lam c
+        in the result's shape.  The spectrum's padding and Im c_0 stay zero,
+        as only its retained band is written."""
+        work = self._work.get(shape)
+        if work is None:
+            lead, half = shape[:-1], self.grid_size // 2 + 1
+            spectrum = np.zeros(lead + (half,), dtype=complex)
+            sq = np.empty(lead + (half,), dtype=complex)
+            work = self._work[shape] = (
+                spectrum, spectrum.view(float).reshape(lead + (half, 2)),
+                np.empty(lead + (self.grid_size,)),
+                sq, sq.view(float).reshape(lead + (half, 2)),
+                np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
+        return work
+
+    def _evaluate(self, state, nonlinear):
+        """f(c) = lam c + D(c), or with ``nonlinear`` N(c) = (lam c + D(c)) -
+        lam c, the product lam c formed once; D is the quadratic term, and
+        D + lam c has the bits of lam c + D.  The result is a new array; the
+        work arrays are the model's, kept per block shape."""
         n, M = self.n_modes, self.grid_size
         s = np.atleast_2d(state)
-        # (..., rows, M//2+1, 2): real and imaginary parts of the padded spectrum
-        spectrum = np.zeros(s.shape[:-1] + (M // 2 + 1, 2))
-        spectrum[..., : n + 1, 0] = s[..., : n + 1]
-        spectrum[..., 1 : n + 1, 1] = s[..., n + 1 :]
-        spectrum[..., : n + 1, :] *= M  # rfft normalization
-        u = np.fft.irfft(spectrum.view(complex)[..., 0], M, axis=-1)
+        spectrum, parts, u, sq, sq_parts, lam_s = self._work_arrays(s.shape)
+        # the padded spectrum, scaled by M for the rfft normalization
+        np.multiply(s[..., : n + 1], M, out=parts[..., : n + 1, 0])
+        np.multiply(s[..., n + 1 :], M, out=parts[..., 1 : n + 1, 1])
+        np.fft.irfft(spectrum, M, axis=-1, out=u)
         u *= u
-        sq = np.fft.rfft(u, axis=-1).view(float).reshape(spectrum.shape)[..., : n + 1, :]
-        sq *= self._inv_grid_size
-        out = self.stiff_linear_part * s
-        out[..., : n + 1] += self._half_k * sq[..., 1]
-        out[..., n + 1 :] -= self._half_k[..., 1:] * sq[..., 1:, 0]
+        np.fft.rfft(u, axis=-1, out=sq)
+        out = np.empty(lam_s.shape)
+        np.multiply(sq_parts[..., : n + 1, 1], self._inv_grid_size, out=out[..., : n + 1])
+        np.multiply(sq_parts[..., 1 : n + 1, 0], self._inv_grid_size, out=out[..., n + 1 :])
+        out *= self._signed_half_k
+        out += np.multiply(self.stiff_linear_part, s, out=lam_s)
+        if nonlinear:
+            out -= lam_s
         return out[0] if np.ndim(state) == 1 else out
 
     def to_physical(self, state):
@@ -186,6 +222,14 @@ class OddPeriodicFDModel(DynamicalSystem):
         ``(sq[i+1] - sq[i-1]) / (4 h)``, where the boundary zeros stand in
         for the neighbours of the end points; then ``lam * a - dst(flux)``.
         """
+        return self._evaluate(state, nonlinear=False)
+
+    def _nonlinear(self, t, state):
+        return self._evaluate(state, nonlinear=True)
+
+    def _evaluate(self, state, nonlinear):
+        """f(a), or with ``nonlinear`` N(a) = f(a) - lam a, the product lam a
+        formed once."""
         a = np.atleast_2d(state)
         n = self.n
         dst = self._dst
@@ -196,8 +240,10 @@ class OddPeriodicFDModel(DynamicalSystem):
         flux[..., 0] = sq[..., 1]
         flux[..., n - 1] = -sq[..., n - 2]
         flux /= 4 * self.h
-        out = self.stiff_linear_part * a
-        out -= dst(flux, type=1, norm="ortho", overwrite_x=True)
+        lam_a = self.stiff_linear_part * a
+        out = lam_a - dst(flux, type=1, norm="ortho", overwrite_x=True)
+        if nonlinear:
+            out -= lam_a
         return out[0] if np.ndim(state) == 1 else out
 
     def to_physical(self, state):

@@ -29,6 +29,7 @@ plan, then the header ``L,bc,seed,flag,dky,j,lambda_1,...,lambda_m``; reals
 are written with 17 significant digits so they round-trip exactly.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -296,11 +297,17 @@ def _write_sorted(plan, path, records):
 
 def write_lines(path, lines):
     """Write ``lines``, each with a newline, to a temporary file that then
-    replaces ``path``: a write cut short leaves the previous file whole."""
+    replaces ``path``: a write cut short (an error or Ctrl-C) leaves the
+    previous file whole and removes the temporary one."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def run_sweep(plan, log=None):

@@ -1,8 +1,8 @@
-"""Cold start: the periodic path and the fits import numpy alone, scipy
-loads when the first odd model is built, and multiprocessing only when a
-spectrum starts a row helper.  Each test runs in a fresh interpreter, so an
-import put back at the top of a kslyap module shows up in its
-``sys.modules``."""
+"""Cold start: the periodic path and the fits import numpy alone (without
+``numpy.ma``), scipy loads when the first odd model is built, and
+multiprocessing only when a spectrum starts a row helper.  Each test runs in
+a fresh interpreter, so an import put back at the top of a kslyap module
+shows up in its ``sys.modules``."""
 
 import json
 import os
@@ -63,6 +63,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({{"rcs": rcs, "loaded": "multiprocessing" in sys.modules}}))
 """
     assert fresh(code, tmp_path) == {"rcs": [0, 0], "loaded": False}
+
+
+def test_a_tiny_lyap_loads_no_numpy_ma(tmp_path):
+    # numpy.ma takes about 10 ms to import.  An odd model imports scipy.fft,
+    # which loads every numpy submodule, numpy.ma among them; so for odd the
+    # check is that numpy.ma enters sys.modules (insertion-ordered) after
+    # scipy, not before it, where the model's own code would put it.
+    code = f"""
+import contextlib, io, json, sys
+from kslyap import cli
+loaded = {{}}
+for bc in ("periodic", "odd"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["lyap", "--bc", bc, "--L", "22"] + {TINY!r})
+    names = list(sys.modules)
+    loaded[bc] = [rc, names.index("numpy.ma") - names.index("scipy")
+                  if "numpy.ma" in names else None]
+print(json.dumps(loaded))
+"""
+    got = fresh(code, tmp_path)
+    assert got["periodic"] == [0, None]
+    assert got["odd"][0] == 0 and got["odd"][1] > 0
 
 
 def test_odd_lyap_loads_scipy_fft(tmp_path):

@@ -236,6 +236,27 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     assert built == [(system, 0.05) for system in systems]
 
 
+@pytest.mark.parametrize("bc, per_step", [("periodic", 4), ("odd", 1)])
+def test_steppers_evaluate_through_rhs_batch(monkeypatch, bc, per_step):
+    # ETDRK4 evaluates its system 4 times a step and IMEX-CNAB2 once, each
+    # time by DynamicalSystem.rhs_batch with the states as its third
+    # positional argument; a tracer that wraps that method and reads
+    # args[2] counts every evaluation of every step
+    seen = []
+    rhs_batch = DynamicalSystem.rhs_batch
+
+    def counting(*args, **kwargs):
+        seen.append(args[2].shape)
+        return rhs_batch(*args, **kwargs)
+
+    monkeypatch.setattr(DynamicalSystem, "rhs_batch", counting)
+    system = make_model(bc, 22.0)
+    block = 0.1 * np.random.default_rng(0).standard_normal((13, system.dim))
+    integrate(system, block, 5 * 0.05, 0.05)
+    integrate(system, block[0], 3 * 0.05, 0.05)
+    assert seen == [block.shape] * 5 * per_step + [(1, system.dim)] * 3 * per_step
+
+
 def _odd_system():
     return make_model("odd", 22.0)
 

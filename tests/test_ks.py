@@ -145,10 +145,16 @@ def test_a_lockstep_system_holds_every_members_domain(bc, Ls):
 
 
 @pytest.mark.parametrize("bc, Ls, name", [("periodic", [21.7, 23.0], "n_modes"),
-                                          ("odd", [41.0, 41.5], "n_interior")])
+                                          ("odd", [41.0, 41.5], "n_interior"),
+                                          ("periodic", [30.0, 21.7, 23.0, 21.7], "n_modes")])
 def test_make_model_refuses_lengths_of_another_resolution(bc, Ls, name):
-    with pytest.raises(ValueError, match=f"one lockstep system needs one {name}"):
+    # the message lists each resolution the lengths need once, in order
+    need = sorted({getattr(make_model(bc, L), "n_modes" if bc == "periodic" else "n")
+                   for L in Ls})
+    with pytest.raises(ValueError) as err:
         make_model(bc, Ls)
+    assert str(err.value) == (f"one lockstep system needs one {name}; "
+                              f"its lengths need {', '.join(map(str, need))}")
 
 
 def test_initial_condition_determinism():
@@ -265,21 +271,60 @@ def _complex_rhs(model, state):
     return np.concatenate([dcoeffs.real, dcoeffs[:, 1:].imag], axis=-1)
 
 
-@pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0])
+LOCKSTEP = [21.7, 21.8, 21.9]
+
+
+def _members(L):
+    """The lockstep system of L (one length or a sequence), its block's
+    leading member axis, and each member's own model."""
+    members = [PeriodicSpectralModel(x) for x in np.ravel(L)]
+    return make_model("periodic", L), (() if np.ndim(L) == 0 else (len(members),)), members
+
+
+def _second_call_changes_nothing(call, block, results):
+    """A second call of one block shape on other states leaves the first
+    call's results and its input as they were: no returned array shares
+    memory with the work arrays the model or stepper reuses."""
+    kept = [r.copy() for r in results]
+    before = block.copy()
+    call(np.random.default_rng(1).standard_normal(block.shape))
+    for r, k in zip(results, kept):
+        assert r.tobytes() == k.tobytes()
+    assert block.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0, LOCKSTEP])
 def test_periodic_rhs_matches_the_complex_formula(L):
-    model = PeriodicSpectralModel(L)
-    rng = np.random.default_rng(int(10 * L))
+    # f and the steppers' N = f - lam v (lam v formed once) have the bits of
+    # the complex formula, for a (rows, dim) block, a lockstep (G, rows, dim)
+    # block and a (dim,) state
+    model, lead, members = _members(L)
+    lam = model.stiff_linear_part
+    rng = np.random.default_rng(int(10 * np.max(L)))
     for rows in (1, 13, 25):
-        block = rng.standard_normal((rows, model.dim))
+        block = rng.standard_normal(lead + (rows, model.dim))
+        before = block.copy()
         got = model.rhs(0.0, block)
-        assert np.array_equal(got, _complex_rhs(model, block))
-        for row, state in zip(got, block):
-            assert row.tobytes() == model.rhs(0.0, state).tobytes()
+        nonlinear = model.rhs_batch(0.0, block, nonlinear=True)
+        want = np.reshape([_complex_rhs(m, b) for m, b in
+                           zip(members, block.reshape(-1, rows, model.dim))], block.shape)
+        assert np.array_equal(got, want)
+        assert np.array_equal(nonlinear, want - lam * block)
+        assert np.array_equal(block, before)
+        _second_call_changes_nothing(
+            lambda other: (model.rhs(0.0, other), model.rhs_batch(0.0, other, nonlinear=True)),
+            block, [got, nonlinear])
+        for m, f, n, states in zip(members, got.reshape(-1, rows, model.dim),
+                                   nonlinear.reshape(-1, rows, model.dim),
+                                   block.reshape(-1, rows, model.dim)):
+            for f_row, n_row, state in zip(f, n, states):
+                assert f_row.tobytes() == m.rhs(0.0, state).tobytes()
+                assert n_row.tobytes() == m.rhs_batch(0.0, state, nonlinear=True).tobytes()
 
 
-@pytest.mark.parametrize("L", [22.0, 100.0])
+@pytest.mark.parametrize("L", [22.0, 100.0, LOCKSTEP])
 def test_etdrk4_step_matches_the_textbook_expression(L):
-    system = PeriodicSpectralModel(L)
+    system, lead, members = _members(L)
     stepper = _ETDRK4Stepper(system, DT)
     E, E2, Q = stepper.e_full, stepper.e_half, stepper.q
     f1, f2, f3, lam = stepper.f1, stepper.f2, stepper.f3, system.stiff_linear_part
@@ -288,9 +333,9 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
         return system.rhs(t, v) - lam * v
 
     t, h = 1.5, DT
-    rng = np.random.default_rng(int(10 * L))
+    rng = np.random.default_rng(int(10 * np.max(L)))
     for rows in (1, 13, 25):
-        u = 0.5 * rng.standard_normal((rows, system.dim))
+        u = 0.5 * rng.standard_normal(lead + (rows, system.dim))
         before = u.copy()
         Nu = N(t, u)
         a = E2 * u + Q * Nu
@@ -303,8 +348,13 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
         got = stepper.step(t, u)
         assert np.array_equal(got, want)
         assert np.array_equal(u, before)
-        for row, state in zip(got, u):
-            assert row.tobytes() == stepper.step(t, state[None, :])[0].tobytes()
+        _second_call_changes_nothing(lambda other: stepper.step(t, other), u, [got])
+        for m, rows_got, states in zip(members, got.reshape(-1, rows, system.dim),
+                                       u.reshape(-1, rows, system.dim)):
+            alone = _ETDRK4Stepper(m, DT)
+            for row, state in zip(rows_got, states):
+                assert row.tobytes() == alone.step(t, state[None, :])[0].tobytes()
+                assert row.tobytes() == alone.step(t, state).tobytes()
 
 
 @pytest.mark.parametrize("L", [17.5, 41.0, 100.0])

@@ -337,6 +337,16 @@ def test_write_lines_cut_short_leaves_the_previous_file_whole(tmp_path):
     with pytest.raises(OSError):
         sweep.write_lines(str(path), lines())
     assert path.read_text() == "# kept\na,b\n1,2\n"
+    assert not (tmp_path / "table.csv.tmp").exists()
+
+    def interrupted():
+        yield "# replaced"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        sweep.write_lines(str(path), interrupted())
+    assert path.read_text() == "# kept\na,b\n1,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
 
 def test_record_row_round_trip():
