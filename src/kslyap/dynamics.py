@@ -31,10 +31,10 @@ what the system integrated before.
 Every stepper evaluates its system through ``DynamicalSystem.rhs_batch``:
 ETDRK4 four times a step, IMEX-CNAB2 once.  Both take the explicit part
 N(v) = f(v) - lam v from it (``nonlinear=True``), which a KS model forms
-with one product lam v.  The periodic KS model and the ETDRK4 stepper keep
-work arrays per block shape and return new arrays, so one system and its
-steppers must not be stepped from two threads at once (a forked process
-has its own copies).
+with one product lam v.  Both KS models and the ETDRK4 stepper keep work
+arrays per block shape and return new arrays, so no model or stepper may
+be stepped from two threads at once (a forked process has its own
+copies).
 """
 
 import numpy as np

@@ -28,8 +28,16 @@ its stiff linear operator, which picks its integrator
 ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
 (``crank_nicolson``).
 
-Only the odd model needs scipy: ``scipy.fft.dst`` is imported when the first
-odd model is built, so a periodic run imports numpy alone.
+Both models call their FFT kernels directly, not through the public
+functions, whose dispatch and checks cost more than the transform at these
+sizes; tests pin the bits to the public functions.  The periodic model runs
+the ``numpy.fft._pocketfft_umath`` gufuncs behind ``np.fft.irfft`` and
+``np.fft.rfft``; the odd model runs scipy's pocketfft DST
+(``scipy.fft._pocketfft.pypocketfft.dst``, the kernel behind
+``scipy.fft.dst(type=1, norm="ortho")``) through :func:`_orthonormal_dst1`.
+Only the odd model needs scipy: its kernel is imported when the first odd
+model is built, so a periodic run imports numpy alone.  Each model keeps
+its work arrays per block shape and returns a new array from ``rhs``.
 
 Given a sequence of G lengths instead of one, :func:`make_model` builds one
 lockstep system of G members: every array that depends on L (``L`` itself
@@ -49,6 +57,10 @@ PERIODIC = "periodic"
 ODD_PERIODIC = "odd"
 
 DEFAULT_K_MAX = 9.0
+
+# scipy's DST kernel, bound when the first odd model is built (every model
+# binds the same one), so that a periodic run loads no scipy
+_pocketfft_dst = None
 
 
 def _domain_lengths(L):
@@ -82,6 +94,15 @@ def _next_fast_len(target):
         n += 1
 
 
+def _orthonormal_dst1(x, out=None):
+    """The orthonormal DST-I of ``x`` along its last axis, its own inverse:
+    ``scipy.fft.dst(x, type=1, norm="ortho")`` with the same bits, into
+    ``out`` (a new array if None; may be ``x`` itself)."""
+    # the kernel, not scipy.fft.dst: its dispatch costs more than the DST at
+    # these sizes, and a test pins the bits to scipy.fft.dst
+    return _pocketfft_dst(x, 1, axes=(-1,), inorm=1, out=out, nthreads=1)
+
+
 class PeriodicSpectralModel(DynamicalSystem):
     """The periodic KS system, pseudospectral; integrated by ETDRK4.  ``L``
     is one length or a sequence (see :func:`make_model`)."""
@@ -106,7 +127,14 @@ class PeriodicSpectralModel(DynamicalSystem):
         # and x + (-y) rounds as x - y
         half_k = 0.5 * self.k
         self._signed_half_k = np.concatenate([half_k, -half_k[..., 1:]], axis=-1)
-        self._inv_grid_size = 1.0 / self.grid_size
+        # 1/M: the factor np.fft.irfft passes its kernel, and the one numpy's
+        # complex ``/ M`` multiplies by
+        self._inv_grid_size = np.reciprocal(self.grid_size, dtype=float)
+        from numpy.fft import _pocketfft_umath as kernels
+        self._irfft = kernels.irfft
+        # np.fft.rfft picks its kernel by the parity of the length: M is
+        # 11-smooth, not always even
+        self._rfft = kernels.rfft_n_even if self.grid_size % 2 == 0 else kernels.rfft_n_odd
         self._work = {}  # block shape -> work arrays of that shape
 
     def rhs(self, t, state):
@@ -124,20 +152,22 @@ class PeriodicSpectralModel(DynamicalSystem):
         return self._evaluate(state, nonlinear=True)
 
     def _work_arrays(self, shape):
-        """The work arrays of a block of ``shape``: the padded spectrum and
-        the squared field's spectrum (complex, each with a ``(..., 2)`` float
-        view of its real and imaginary parts), the physical grid, and lam c
-        in the result's shape.  The spectrum's padding and Im c_0 stay zero,
-        as only its retained band is written."""
+        """The work arrays of a block of ``shape``: the padded spectrum with
+        views of its Re c_0..n and Im c_1..n, the physical grid, the squared
+        field's spectrum with views of its Im sq_0..n and Re sq_1..n, and
+        lam c in the result's shape.  The spectrum's padding and Im c_0 stay
+        zero, as only its retained band is written."""
         work = self._work.get(shape)
         if work is None:
-            lead, half = shape[:-1], self.grid_size // 2 + 1
+            n, lead, half = self.n_modes, shape[:-1], self.grid_size // 2 + 1
             spectrum = np.zeros(lead + (half,), dtype=complex)
             sq = np.empty(lead + (half,), dtype=complex)
+            parts = spectrum.view(float).reshape(lead + (half, 2))
+            sq_parts = sq.view(float).reshape(lead + (half, 2))
             work = self._work[shape] = (
-                spectrum, spectrum.view(float).reshape(lead + (half, 2)),
+                spectrum, parts[..., : n + 1, 0], parts[..., 1 : n + 1, 1],
                 np.empty(lead + (self.grid_size,)),
-                sq, sq.view(float).reshape(lead + (half, 2)),
+                sq, sq_parts[..., : n + 1, 1], sq_parts[..., 1 : n + 1, 0],
                 np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
         return work
 
@@ -146,23 +176,24 @@ class PeriodicSpectralModel(DynamicalSystem):
         lam c, the product lam c formed once; D is the quadratic term, and
         D + lam c has the bits of lam c + D.  The result is a new array; the
         work arrays are the model's, kept per block shape."""
-        n, M = self.n_modes, self.grid_size
-        s = np.atleast_2d(state)
-        spectrum, parts, u, sq, sq_parts, lam_s = self._work_arrays(s.shape)
+        n, M, inv_M = self.n_modes, self.grid_size, self._inv_grid_size
+        spectrum, re_c, im_c, u, sq, im_sq, re_sq, lam_s = self._work_arrays(state.shape)
         # the padded spectrum, scaled by M for the rfft normalization
-        np.multiply(s[..., : n + 1], M, out=parts[..., : n + 1, 0])
-        np.multiply(s[..., n + 1 :], M, out=parts[..., 1 : n + 1, 1])
-        np.fft.irfft(spectrum, M, axis=-1, out=u)
+        np.multiply(state[..., : n + 1], M, out=re_c)
+        np.multiply(state[..., n + 1 :], M, out=im_c)
+        # the kernels, not np.fft.irfft/rfft: their dispatch costs more than
+        # the transforms at these sizes, and a test pins the bits to np.fft
+        self._irfft(spectrum, inv_M, out=u)
         u *= u
-        np.fft.rfft(u, axis=-1, out=sq)
+        self._rfft(u, 1.0, out=sq)
         out = np.empty(lam_s.shape)
-        np.multiply(sq_parts[..., : n + 1, 1], self._inv_grid_size, out=out[..., : n + 1])
-        np.multiply(sq_parts[..., 1 : n + 1, 0], self._inv_grid_size, out=out[..., n + 1 :])
+        np.multiply(im_sq, inv_M, out=out[..., : n + 1])
+        np.multiply(re_sq, inv_M, out=out[..., n + 1 :])
         out *= self._signed_half_k
-        out += np.multiply(self.stiff_linear_part, s, out=lam_s)
+        out += np.multiply(self.stiff_linear_part, state, out=lam_s)
         if nonlinear:
             out -= lam_s
-        return out[0] if np.ndim(state) == 1 else out
+        return out
 
     def to_physical(self, state):
         """(x, u(x)) on the ``grid_size`` uniform points of the physical grid."""
@@ -186,7 +217,10 @@ class OddPeriodicFDModel(DynamicalSystem):
     Interior grid x_i = i*h, i = 1..n, h = L/(n+1); boundary values and odd
     reflections handled through ghost points.  The state ``a`` holds the
     orthonormal DST-I coefficients of the grid field, ``u = dst(a)``, where
-    ``dst`` is ``scipy.fft.dst(type=1, norm="ortho")``, its own inverse.
+    ``dst`` is ``scipy.fft.dst(type=1, norm="ortho")``, its own inverse.  The
+    model runs that transform's pocketfft kernel (:func:`_orthonormal_dst1`),
+    imported when the first odd model is built; ``scipy.fft.dst`` is the
+    reference its tests hold the bits to.
     Coordinate j is the sine mode sin(j*pi*x/L) on the grid, an eigenvector
     of the ghost-point operator ``-(D4 + D2)`` with the eigenvalue
     ``-(mu_j**2 + mu_j)``, where ``mu_j = -(4/h**2) sin(j*pi/(2(n+1)))**2`` is
@@ -211,8 +245,10 @@ class OddPeriodicFDModel(DynamicalSystem):
         j = np.arange(1, n + 1)
         mu = -(4 / self.h**2) * np.sin(j * np.pi / (2 * (n + 1)))**2
         super().__init__(n, stiff_linear_part=-(mu * mu + mu))
-        from scipy.fft import dst
-        self._dst = dst
+        self._four_h = 4 * self.h
+        self._work = {}  # block shape -> work arrays of that shape
+        global _pocketfft_dst
+        from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
     def rhs(self, t, state):
         """lam a - dst((u^2/2)_x) with u = dst(a), the sine coefficients of
@@ -227,28 +263,37 @@ class OddPeriodicFDModel(DynamicalSystem):
     def _nonlinear(self, t, state):
         return self._evaluate(state, nonlinear=True)
 
+    def _work_arrays(self, shape):
+        """The work arrays of a block of ``shape``: ``sq``, ``flux`` and lam a
+        in the result's shape."""
+        work = self._work.get(shape)
+        if work is None:
+            work = self._work[shape] = (
+                np.empty(shape), np.empty(shape),
+                np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
+        return work
+
     def _evaluate(self, state, nonlinear):
         """f(a), or with ``nonlinear`` N(a) = f(a) - lam a, the product lam a
-        formed once."""
-        a = np.atleast_2d(state)
+        formed once.  The result is a new array; the work arrays are the
+        model's, kept per block shape."""
         n = self.n
-        dst = self._dst
-        sq = dst(a, type=1, norm="ortho")
+        sq, flux, lam_a = self._work_arrays(state.shape)
+        _orthonormal_dst1(state, out=sq)
         sq *= sq
-        flux = np.empty_like(sq)
-        flux[..., 1 : n - 1] = sq[..., 2:] - sq[..., : n - 2]
+        np.subtract(sq[..., 2:], sq[..., : n - 2], out=flux[..., 1 : n - 1])
         flux[..., 0] = sq[..., 1]
-        flux[..., n - 1] = -sq[..., n - 2]
-        flux /= 4 * self.h
-        lam_a = self.stiff_linear_part * a
-        out = lam_a - dst(flux, type=1, norm="ortho", overwrite_x=True)
+        np.negative(sq[..., n - 2], out=flux[..., n - 1])
+        flux /= self._four_h
+        np.multiply(self.stiff_linear_part, state, out=lam_a)
+        out = lam_a - _orthonormal_dst1(flux, out=flux)
         if nonlinear:
             out -= lam_a
-        return out[0] if np.ndim(state) == 1 else out
+        return out
 
     def to_physical(self, state):
         """Full field including the boundary zeros; returns (x, u)."""
-        u = self._dst(np.asarray(state, dtype=float), type=1, norm="ortho")
+        u = _orthonormal_dst1(np.asarray(state, dtype=float))
         x = self.h * np.arange(self.n + 2)
         return x, np.concatenate([[0.0], u, [0.0]])
 

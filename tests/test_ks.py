@@ -5,7 +5,7 @@ from kslyap import (LyapunovConfig, OddPeriodicFDModel,
                     PeriodicSpectralModel, ResolutionTooCoarse, compute_spectrum,
                     diagonal_linear_system, initial_state, integrate, lorenz_system,
                     make_model)
-from kslyap import lyapunov
+from kslyap import ks, lyapunov
 from kslyap.dynamics import _ETDRK4Stepper, _IMEXCNAB2Stepper
 from odd_fd_reference import linear_matrix, stencil_rhs, to_grid
 
@@ -271,6 +271,21 @@ def _complex_rhs(model, state):
     return np.concatenate([dcoeffs.real, dcoeffs[:, 1:].imag], axis=-1)
 
 
+def _public_fft_rhs(model, block):
+    """The periodic RHS in the model's real arithmetic, through np.fft.irfft
+    and np.fft.rfft: signed zeros included, the bits of its kernels.  (The
+    complex formula rounds alike but can give -0 where the model gives +0.)"""
+    n, M = model.n_modes, model.grid_size
+    spectrum = np.zeros(block.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    spectrum.real[..., : n + 1] = block[..., : n + 1] * M
+    spectrum.imag[..., 1 : n + 1] = block[..., n + 1 :] * M
+    u = np.fft.irfft(spectrum, M, axis=-1)
+    sq = np.fft.rfft(u * u, axis=-1)
+    quadratic = np.concatenate([sq.imag[..., : n + 1] * (1 / M),
+                                sq.real[..., 1 : n + 1] * (1 / M)], axis=-1)
+    return quadratic * model._signed_half_k + model.stiff_linear_part * block
+
+
 LOCKSTEP = [21.7, 21.8, 21.9]
 
 
@@ -320,6 +335,29 @@ def test_periodic_rhs_matches_the_complex_formula(L):
             for f_row, n_row, state in zip(f, n, states):
                 assert f_row.tobytes() == m.rhs(0.0, state).tobytes()
                 assert n_row.tobytes() == m.rhs_batch(0.0, state, nonlinear=True).tobytes()
+
+
+def test_the_fft_kernels_have_the_bits_of_the_public_functions():
+    # the models call their FFT kernels directly; the public functions are
+    # the reference: scipy.fft.dst at every DST-I length up to 300 (50, 117
+    # and 286 are those of L = 17.5, 41 and 100), and np.fft.irfft/rfft on
+    # grids of both parities, one block a lockstep (3, 13, dim) one
+    from scipy.fft import dst
+    assert [make_model("odd", L).n for L in (17.5, 41.0, 100.0)] == [50, 117, 286]
+    rng = np.random.default_rng(25)
+    for n in range(1, 301):
+        x = rng.standard_normal((3, n))
+        want = dst(x, type=1, norm="ortho").tobytes()
+        assert ks._orthonormal_dst1(x).tobytes() == want
+        assert ks._orthonormal_dst1(x[1]).tobytes() == want[8 * n : 16 * n]
+        assert ks._orthonormal_dst1(x, out=x) is x and x.tobytes() == want
+    parities = set()
+    for L in (12.0, 22.0, 23.5, [23.4, 23.5, 23.6]):
+        model = make_model("periodic", L)
+        parities.add(model.grid_size % 2)
+        block = rng.standard_normal(np.shape(L) + (13, model.dim))
+        assert model.rhs(0.0, block).tobytes() == _public_fft_rhs(model, block).tobytes()
+    assert parities == {0, 1}  # M = 55, 98, 105 and 105
 
 
 @pytest.mark.parametrize("L", [22.0, 100.0, LOCKSTEP])
@@ -375,14 +413,19 @@ def test_odd_rhs_matches_the_stencil_formula(L):
         block = to_grid(u)
         before = block.copy()
         got = model.rhs(0.0, block)
+        nonlinear = model.rhs_batch(0.0, block, nonlinear=True)
         want = stencil_rhs(model, u)
         assert np.max(np.abs(to_grid(got) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(nonlinear, got - model.stiff_linear_part * block)
         assert np.array_equal(block, before)
+        _second_call_changes_nothing(
+            lambda other: (model.rhs(0.0, other), model.rhs_batch(0.0, other, nonlinear=True)),
+            block, [got, nonlinear])
         for row, state in zip(got, block):
             assert row.tobytes() == model.rhs(0.0, state).tobytes()
 
 
-@pytest.mark.parametrize("L", [17.5, 100.0])
+@pytest.mark.parametrize("L", [17.5, 41.0, 100.0])
 def test_odd_step_matches_the_textbook_expression(L):
     # bit for bit: the cached odd spectra depend on this order of operations
     model = OddPeriodicFDModel(L)
