@@ -28,13 +28,15 @@ it takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
 the explicit part, as a newly built stepper does; results do not depend on
 what the system integrated before.
 
-Every stepper evaluates its system through ``DynamicalSystem.rhs_batch``:
-ETDRK4 four times a step, IMEX-CNAB2 once.  Both take the explicit part
-N(v) = f(v) - lam v from it (``nonlinear=True``), which a KS model forms
-with one product lam v.  Both KS models and the ETDRK4 stepper keep work
-arrays per block shape and return new arrays, so no model or stepper may
-be stepped from two threads at once (a forked process has its own
-copies).
+A system is evaluated through one method, ``rhs(t, u, nonlinear=False)``,
+and every stepper reaches it through ``DynamicalSystem.rhs_batch``: ETDRK4
+four times a step, IMEX-CNAB2 once.  Both take the explicit part
+N(v) = f(v) - lam v from it (``nonlinear=True``).  The base ``rhs`` runs
+the wrapped function and subtracts lam v from its result; a KS model's
+``rhs`` forms lam v once and subtracts it again.  Both KS models and the
+ETDRK4 stepper keep work arrays per block shape and return new arrays, so
+no model or stepper may be stepped from two threads at once (a forked
+process has its own copies).
 """
 
 import numpy as np
@@ -54,13 +56,15 @@ class DynamicalSystem:
     ``crank_nicolson``.  A system that declares no stiff part is run with
     RK4.
 
-    ``DynamicalSystem(dim, rhs, ...)`` wraps a right-hand-side function; a
-    subclass (the KS models of ``ks``) defines ``rhs`` as a method instead
-    and passes none.  ``stiff_linear_part`` has shape ``(dim,)``, or
+    ``rhs(t, u, nonlinear=False)`` is the one method that evaluates a
+    system: f(u), or with ``nonlinear`` N(u) = f(u) - lam u (``lam`` the
+    ``stiff_linear_part``).  ``DynamicalSystem(dim, rhs, ...)`` wraps a
+    right-hand-side function ``rhs(t, u)``, and the base method runs it and
+    subtracts ``lam * u``; a subclass (the KS models of ``ks``) overrides the
+    method instead and passes none, its N(u) with the bits of f(u) minus
+    ``lam * u``.  ``stiff_linear_part`` has shape ``(dim,)``, or
     ``(G, 1, dim)`` for a lockstep system of G members.  ``rhs`` must return
-    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.  A
-    subclass may override ``_nonlinear`` to return N(v) = f(v) - lam v with
-    the bits of ``rhs`` minus ``lam * v``.
+    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
     step size, so its operator is not to be changed after the first
     integration.
@@ -71,8 +75,7 @@ class DynamicalSystem:
     def __init__(self, dim, rhs=None, stiff_linear_part=None):
         if dim <= 0:
             raise ValueError("system dimension must be positive")
-        if rhs is not None:  # a subclass's rhs method is not shadowed
-            self.rhs = rhs
+        self._function = rhs
         if stiff_linear_part is not None:
             stiff_linear_part = np.asarray(stiff_linear_part, dtype=float)
             if stiff_linear_part.shape[-1:] != (dim,):
@@ -83,22 +86,18 @@ class DynamicalSystem:
         self.stiff_linear_part = stiff_linear_part
         self._steppers = {}
 
-    def rhs_batch(self, t, states, nonlinear=False):
-        """Evaluate the RHS for a (..., batch, dim) block of states; with
-        ``nonlinear``, the part the ETDRK4 and IMEX-CNAB2 steppers take
-        explicitly, N(v) = f(v) - lam v (``lam`` the ``stiff_linear_part``).
-        Every stepper evaluates its system through this method."""
-        states = np.asarray(states, dtype=float)
+    def rhs(self, t, states, nonlinear=False):
+        """f for a (..., batch, dim) block of states from the wrapped
+        function; with ``nonlinear``, N(v) = f(v) - lam v."""
+        out = self._function(t, states)
         if nonlinear:
-            return self._nonlinear(t, states)
-        return self.rhs(t, states)
+            out -= self.stiff_linear_part * states
+        return out
 
-    def _nonlinear(self, t, states):
-        """N(v) = f(v) - lam v; a model whose ``rhs`` forms lam v itself
-        overrides this to form it once, with the same bits."""
-        n = self.rhs(t, states)
-        n -= self.stiff_linear_part * states
-        return n
+    def rhs_batch(self, t, states, nonlinear=False):
+        """``rhs`` of a (..., batch, dim) block of states, given as any
+        array-like; every stepper evaluates its system through this method."""
+        return self.rhs(t, np.asarray(states, dtype=float), nonlinear)
 
 
 def initial_state(dim, seed):

@@ -21,12 +21,18 @@ Two discretizations are provided for the two boundary conditions:
 
 :func:`make_model` builds the model of a boundary condition on a domain of
 length L, resolving wavenumbers up to at least ``k_max`` (default 9); L and
-``k_max`` alone fix its resolution (``n_modes`` or ``n_interior``).
+``k_max`` alone fix its resolution (``n_modes`` or ``n_interior``).  Each
+model's constructor is the one place that refuses a grid below its floor,
+with ``ResolutionTooCoarse``: ``n_modes < 4`` (periodic), ``n_interior < 2``
+(odd).
 Each model is a ``dynamics.DynamicalSystem``: it declares the diagonal of
 its stiff linear operator, which picks its integrator
 (``dynamics.make_stepper``): the periodic model's ``k^2 - k^4`` runs with
 ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
-(``crank_nicolson``).
+(``crank_nicolson``).  It implements the one method
+``rhs(t, state, nonlinear=False)``: f, or with ``nonlinear`` the explicit
+part N = f - lam state the steppers take, the product lam state formed
+once.
 
 Both models call their FFT kernels directly, not through the public
 functions, whose dispatch and checks cost more than the transform at these
@@ -137,20 +143,6 @@ class PeriodicSpectralModel(DynamicalSystem):
         self._rfft = kernels.rfft_n_even if self.grid_size % 2 == 0 else kernels.rfft_n_odd
         self._work = {}  # block shape -> work arrays of that shape
 
-    def rhs(self, t, state):
-        """(k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state.
-
-        Evaluated in real arithmetic on float views of the complex spectra,
-        with the operations of the complex formula
-        ``(k**2 - k**4) * c - 0.5j * k * (rfft(irfft(c * M)**2) / M)``
-        in the same order, so the result has the same bits (numpy's complex
-        ``/ M`` multiplies by ``1 / M``).
-        """
-        return self._evaluate(state, nonlinear=False)
-
-    def _nonlinear(self, t, state):
-        return self._evaluate(state, nonlinear=True)
-
     def _work_arrays(self, shape):
         """The work arrays of a block of ``shape``: the padded spectrum with
         views of its Re c_0..n and Im c_1..n, the physical grid, the squared
@@ -171,11 +163,18 @@ class PeriodicSpectralModel(DynamicalSystem):
                 np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
         return work
 
-    def _evaluate(self, state, nonlinear):
-        """f(c) = lam c + D(c), or with ``nonlinear`` N(c) = (lam c + D(c)) -
-        lam c, the product lam c formed once; D is the quadratic term, and
-        D + lam c has the bits of lam c + D.  The result is a new array; the
-        work arrays are the model's, kept per block shape."""
+    def rhs(self, t, state, nonlinear=False):
+        """f(c) = (k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state, or
+        with ``nonlinear`` N(c) = f(c) - lam c, the product lam c formed once.
+
+        Evaluated in real arithmetic on float views of the complex spectra,
+        with the operations of the complex formula
+        ``(k**2 - k**4) * c - 0.5j * k * (rfft(irfft(c * M)**2) / M)``
+        in the same order, so the result has the same bits (numpy's complex
+        ``/ M`` multiplies by ``1 / M``, and D + lam c, D the quadratic term,
+        has the bits of lam c + D).  The result is a new array; the work
+        arrays are the model's, kept per block shape.
+        """
         n, M, inv_M = self.n_modes, self.grid_size, self._inv_grid_size
         spectrum, re_c, im_c, u, sq, im_sq, re_sq, lam_s = self._work_arrays(state.shape)
         # the padded spectrum, scaled by M for the rfft normalization
@@ -235,10 +234,14 @@ class OddPeriodicFDModel(DynamicalSystem):
     def __init__(self, L, k_max=DEFAULT_K_MAX):
         L = _domain_lengths(L)
         # the fewest interior points whose spacing h = L/(n+1) is <= pi/k_max
+        # (a k_max <= 0 leaves n <= -1, refused below)
         n = np.ceil(k_max * L / np.pi) - 1
-        while np.any(coarse := L / (n + 1) > np.pi / k_max):
+        while k_max > 0 and np.any(coarse := L / (n + 1) > np.pi / k_max):
             n = n + coarse
         self.n = n = _one_resolution("n_interior", n)
+        if n < 2:  # the flux stencil needs both neighbours of an end point
+            raise ResolutionTooCoarse(
+                f"n_interior={n} < 2 for L={np.max(L):g}, k_max={k_max:g}")
         self.L = L
         self.h = L / (n + 1)
         self.x = self.h * np.arange(1, n + 1)
@@ -250,19 +253,6 @@ class OddPeriodicFDModel(DynamicalSystem):
         global _pocketfft_dst
         from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
-    def rhs(self, t, state):
-        """lam a - dst((u^2/2)_x) with u = dst(a), the sine coefficients of
-        the ghost-point stencils' -u_xxxx - u_xx - (u^2/2)_x.
-
-        In this order of operations: ``sq = dst(a)**2`` in place; the flux
-        ``(sq[i+1] - sq[i-1]) / (4 h)``, where the boundary zeros stand in
-        for the neighbours of the end points; then ``lam * a - dst(flux)``.
-        """
-        return self._evaluate(state, nonlinear=False)
-
-    def _nonlinear(self, t, state):
-        return self._evaluate(state, nonlinear=True)
-
     def _work_arrays(self, shape):
         """The work arrays of a block of ``shape``: ``sq``, ``flux`` and lam a
         in the result's shape."""
@@ -273,10 +263,18 @@ class OddPeriodicFDModel(DynamicalSystem):
                 np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
         return work
 
-    def _evaluate(self, state, nonlinear):
-        """f(a), or with ``nonlinear`` N(a) = f(a) - lam a, the product lam a
-        formed once.  The result is a new array; the work arrays are the
-        model's, kept per block shape."""
+    def rhs(self, t, state, nonlinear=False):
+        """f(a) = lam a - dst((u^2/2)_x) with u = dst(a), the sine
+        coefficients of the ghost-point stencils' -u_xxxx - u_xx - (u^2/2)_x;
+        or with ``nonlinear`` N(a) = f(a) - lam a, the product lam a formed
+        once.
+
+        In this order of operations: ``sq = dst(a)**2`` in place; the flux
+        ``(sq[i+1] - sq[i-1]) / (4 h)``, where the boundary zeros stand in
+        for the neighbours of the end points; then ``lam * a - dst(flux)``.
+        The result is a new array; the work arrays are the model's, kept per
+        block shape.
+        """
         n = self.n
         sq, flux, lam_a = self._work_arrays(state.shape)
         _orthonormal_dst1(state, out=sq)
@@ -306,7 +304,8 @@ def check_bc(bc):
 
 def make_model(bc, L, k_max=DEFAULT_K_MAX):
     """The KS system of boundary condition ``bc`` on a domain of length L,
-    resolving wavenumbers up to ``k_max``; the two fix its resolution.
+    resolving wavenumbers up to ``k_max``; the two fix its resolution, and
+    the model refuses one below its floor with ``ResolutionTooCoarse``.
 
     Given a sequence of G lengths, the lockstep system of their G models:
     its ``rhs`` maps a ``(G, rows, dim)`` block with member g's domain in
@@ -320,9 +319,5 @@ def make_model(bc, L, k_max=DEFAULT_K_MAX):
     check_bc(bc)
     if not np.isfinite(k_max):
         raise ValueError(f"k_max={k_max:g} must be finite")
-    min_k = (2 * np.pi if bc == PERIODIC else np.pi) / np.min(lengths)
-    if k_max < min_k:
-        raise ValueError(f"k_max_target={k_max:g} resolves no mode on "
-                         f"L={np.min(lengths):g} (need >= {min_k:g})")
     model = PeriodicSpectralModel if bc == PERIODIC else OddPeriodicFDModel
     return model(L, k_max)

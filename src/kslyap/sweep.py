@@ -12,7 +12,7 @@ fingerprint, and re-running the same plan resumes from what is already on
 disk.  A grid point whose run fails (a blow-up, a non-finite flow-map
 column, a rank-deficient frame) is recorded with a ``failed`` flag instead
 of aborting the sweep.  A setting no grid point can run with (an L that is
-not positive, a k_max that resolves no mode, an m above a model's
+not positive, a grid below a model's floor, an m above a model's
 dimension) is refused before anything is written; any other error ends the
 sweep and leaves the rows written so far.
 

@@ -93,6 +93,16 @@ def test_a_non_finite_value_is_refused_before_any_file_is_written(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bc, L, floor", [("periodic", "0.1", "n_modes=1 < 4"),
+                                           ("odd", "0.4", "n_interior=1 < 2")])
+def test_lyap_refuses_a_grid_below_the_floor(tmp_path, capsys, bc, L, floor):
+    out = tmp_path / "out.csv"
+    code, _, err = run(["lyap", "--bc", bc, "--L", L, "--m", "1", "--tau", "0",
+                        "--T", "0.05", "--N", "1", "--out", str(out)], capsys)
+    assert code == 1 and err.startswith(f"error: {floor} for L={L}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
     # each output interval is walked from t = 0; a blow-up in the third one,
     # 0.25 into it, is reported at t = 2.25
@@ -295,10 +305,13 @@ def test_sweep_refuses_an_unknown_bc_before_writing_a_file(tmp_path, capsys):
     (["--L-start", "22", "--L-end", "22", "--kmax", "0.1"],
      ["--L-start", "22", "--L-end", "22"]),
     (["--L-start", "5", "--L-end", "5", "--m", "40"],
-     ["--L-start", "5", "--L-end", "5", "--m", "4"])])
+     ["--L-start", "5", "--L-end", "5", "--m", "4"]),
+    (["--bc", "odd", "--L-start", "0.4", "--L-end", "0.4", "--m", "1"],
+     ["--bc", "odd", "--L-start", "5", "--L-end", "5", "--m", "1"])])
 def test_sweep_refuses_a_bad_setting_before_writing_a_file(tmp_path, capsys, bad, fixed):
-    # an L that is not positive, a k_max that resolves no mode, an m above
-    # the dimension (17 at L=5): no file is left to refuse the corrected run
+    # an L that is not positive, a k_max below the periodic floor, an m above
+    # the dimension (17 at L=5), a grid below the odd model's floor (one
+    # interior point at L=0.4): no file is left to refuse the corrected run
     out = tmp_path / "s.csv"
     settings = ["--tau", "1", "--T", "0.5", "--N", "2", "--out", str(out)]
     code, _, err = run(["sweep", "--m", "4"] + bad + settings, capsys)

@@ -236,12 +236,21 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
     assert built == [(system, 0.05) for system in systems]
 
 
-@pytest.mark.parametrize("bc, per_step", [("periodic", 4), ("odd", 1)])
+def _wrapped_periodic_model():
+    """The periodic L=22 model's rhs as a wrapped function with its stiff
+    part: the base ``DynamicalSystem.rhs`` forms N(v) = f(v) - lam v."""
+    model = make_model("periodic", 22.0)
+    return DynamicalSystem(dim=model.dim, rhs=model.rhs,
+                           stiff_linear_part=model.stiff_linear_part)
+
+
+@pytest.mark.parametrize("bc, per_step", [("periodic", 4), ("odd", 1), ("wrapped", 4)])
 def test_steppers_evaluate_through_rhs_batch(monkeypatch, bc, per_step):
     # ETDRK4 evaluates its system 4 times a step and IMEX-CNAB2 once, each
     # time by DynamicalSystem.rhs_batch with the states as its third
     # positional argument; a tracer that wraps that method and reads
-    # args[2] counts every evaluation of every step
+    # args[2] counts every evaluation of every step.  The N(v) it returns,
+    # from the system's one rhs method, has the bits of f(v) - lam v.
     seen = []
     rhs_batch = DynamicalSystem.rhs_batch
 
@@ -250,11 +259,13 @@ def test_steppers_evaluate_through_rhs_batch(monkeypatch, bc, per_step):
         return rhs_batch(*args, **kwargs)
 
     monkeypatch.setattr(DynamicalSystem, "rhs_batch", counting)
-    system = make_model(bc, 22.0)
+    system = _wrapped_periodic_model() if bc == "wrapped" else make_model(bc, 22.0)
     block = 0.1 * np.random.default_rng(0).standard_normal((13, system.dim))
     integrate(system, block, 5 * 0.05, 0.05)
     integrate(system, block[0], 3 * 0.05, 0.05)
     assert seen == [block.shape] * 5 * per_step + [(1, system.dim)] * 3 * per_step
+    want = system.rhs(0.0, block) - system.stiff_linear_part * block
+    assert system.rhs_batch(0.0, block, nonlinear=True).tobytes() == want.tobytes()
 
 
 def _odd_system():

@@ -52,11 +52,17 @@ def test_make_model_validation():
         make_model("periodic", -1.0)
     with pytest.raises(ValueError, match="L must be positive"):
         make_model("odd", [41.0, 0.0])
-    with pytest.raises(ValueError, match="resolves no mode"):
-        make_model("periodic", 0.1, k_max=9.0)  # 2*pi/L > k_max
-    with pytest.raises(ValueError, match="resolves no mode"):
-        make_model("odd", 0.3, k_max=9.0)  # pi/L > k_max
-    assert make_model("odd", 0.4, k_max=9.0).n == 1  # pi/L <= k_max
+    # each model's floor, refused by its constructor
+    with pytest.raises(ResolutionTooCoarse, match="n_modes=1 < 4"):
+        make_model("periodic", 0.1, k_max=9.0)
+    with pytest.raises(ResolutionTooCoarse, match="n_interior=0 < 2"):
+        make_model("odd", 0.3, k_max=9.0)
+    with pytest.raises(ResolutionTooCoarse, match="n_interior=1 < 2"):
+        make_model("odd", 0.4, k_max=9.0)  # the flux stencil needs n >= 2
+    for k_max in (0.0, -1.0):
+        with pytest.raises(ResolutionTooCoarse, match=r"n_interior=-\d+ < 2"):
+            make_model("odd", 22.0, k_max=k_max)
+    assert make_model("odd", 0.7, k_max=9.0).n == 2
     with pytest.raises(ValueError, match="bc must be"):
         make_model("rigid", 22.0)
 

@@ -141,6 +141,26 @@ def test_spectrum_sorted_and_reconstructible():
     assert np.all(np.isfinite(res.logR_history))
 
 
+@pytest.mark.parametrize("bc, L, bound", [("periodic", 22.0, 1e-4), ("odd", 17.5, 5e-3)],
+                         ids=["periodic", "odd"])
+def test_full_ks_spectrum_sums_to_the_trace_of_the_linear_part(bc, L, bound):
+    # the Jacobian of either model's nonlinear term has zero trace (periodic:
+    # dN_k/dc_k = -ik c_0 is imaginary; odd: the central flux difference at
+    # a point does not depend on the point, and the DST is orthogonal), so
+    # the full spectrum sums to the trace of lam, up to the discrete map's
+    # error, which must fall under step halving
+    system = make_model(bc, L, k_max=3.0)
+    trace = system.stiff_linear_part.sum()
+    u0 = 0.3 * initial_state(system.dim, 0)
+    errors = []
+    for dt in (0.05, 0.025):
+        cfg = LyapunovConfig(m=system.dim, tau=100.0, T=0.1, N=2000, dt=dt)
+        exponents = compute_spectrum(system, cfg, u0).exponents
+        errors.append(abs(exponents.sum() - trace) / abs(trace))
+    assert errors[1] <= bound, errors
+    assert errors[0] / errors[1] >= 3, errors
+
+
 def test_scan_interval_linear_flow_is_constant():
     system = diagonal_linear_system([0.05, -0.1])
     cfg = LyapunovConfig(m=2, tau=0.0, T=1.0, N=20, epsilon=1e-6, seed=0, dt=DT)
