@@ -13,7 +13,7 @@ from kslyap import initial_state, integrate, make_model
 model = make_model("periodic", 60.0)
 dt = 0.05  # the periodic model's diagonal stiff part is integrated by ETDRK4
 
-state = initial_state(model.dim, seed=3)
+state = initial_state(model, seed=3)
 mean0 = model.field_mean(state)
 
 # discard the transient, then sample every 2 time units

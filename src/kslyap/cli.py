@@ -119,7 +119,7 @@ def cmd_simulate(args):
         raise KslyapError("simulate needs --dt-out > 0 and --t-end >= 0")
     model = make_model(cfg["bc"], float(cfg["L"]), float(cfg["kmax"]))
     dt = float(cfg["dt"])
-    state = initial_state(model.dim, int(cfg["seed"]))
+    state = initial_state(model, int(cfg["seed"]))
     times = analysis._grid(0.0, dt_out, t_end)
     x, _ = model.to_physical(state)
     lines = _meta_lines("simulate", cfg)

@@ -32,11 +32,12 @@ A system is evaluated through one method, ``rhs(t, u, nonlinear=False)``,
 and every stepper reaches it through ``DynamicalSystem.rhs_batch``: ETDRK4
 four times a step, IMEX-CNAB2 once.  Both take the explicit part
 N(v) = f(v) - lam v from it (``nonlinear=True``).  The base ``rhs`` runs
-the wrapped function and subtracts lam v from its result; a KS model's
-``rhs`` forms lam v once and subtracts it again.  Both KS models and the
-ETDRK4 stepper keep work arrays per block shape and return new arrays, so
-no model or stepper may be stepped from two threads at once (a forked
-process has its own copies).
+the wrapped function and subtracts lam v from its result.  The periodic KS
+model forms N directly and adds lam v only for f; the odd model forms lam v
+once and subtracts it again.  Both KS models and the ETDRK4 stepper keep
+work arrays per block shape and return new arrays, so no model or stepper
+may be stepped from two threads at once (a forked process has its own
+copies).
 """
 
 import numpy as np
@@ -61,16 +62,18 @@ class DynamicalSystem:
     ``stiff_linear_part``).  ``DynamicalSystem(dim, rhs, ...)`` wraps a
     right-hand-side function ``rhs(t, u)``, and the base method runs it and
     subtracts ``lam * u``; a subclass (the KS models of ``ks``) overrides the
-    method instead and passes none, its N(u) with the bits of f(u) minus
-    ``lam * u``.  ``stiff_linear_part`` has shape ``(dim,)``, or
-    ``(G, 1, dim)`` for a lockstep system of G members.  ``rhs`` must return
-    a new array: the ETDRK4 and IMEX-CNAB2 steppers update it in place.
+    method instead and passes none.  ``stiff_linear_part`` has shape
+    ``(dim,)``, or ``(G, 1, dim)`` for a lockstep system of G members.
+    ``rhs`` must return a new array: the ETDRK4 and IMEX-CNAB2 steppers
+    update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
     step size, so its operator is not to be changed after the first
-    integration.
+    integration.  ``initial_std`` is the spread of each coordinate of the
+    system's random start (:func:`initial_state`).
     """
 
     crank_nicolson = False
+    initial_std = 1.0
 
     def __init__(self, dim, rhs=None, stiff_linear_part=None):
         if dim <= 0:
@@ -100,13 +103,17 @@ class DynamicalSystem:
         return self.rhs(t, np.asarray(states, dtype=float), nonlinear)
 
 
-def initial_state(dim, seed):
-    """I.i.d. standard-normal state components from a PCG64 generator.
+def initial_state(system, seed):
+    """The random start of ``system``: i.i.d. normal coordinates of standard
+    deviation ``system.initial_std``, from a PCG64 generator.
 
-    The generator is pinned (numpy PCG64) so the same seed yields the same
+    That is 1 unless the system declares another: both KS models' starts
+    have unit variance at every point of their physical grid.  The
+    generator is pinned (numpy PCG64) so the same seed yields the same
     vector on every platform.
     """
-    return np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
+    draw = np.random.Generator(np.random.PCG64(seed)).standard_normal(system.dim)
+    return draw * system.initial_std
 
 
 def _check_finite(u, t):

@@ -7,10 +7,14 @@ Two discretizations are provided for the two boundary conditions:
                    ``[c_0, Re c_1..Re c_n, Im c_1..Im c_n]`` with
                    wavenumbers k_j = 2*pi*j/L.  The quadratic term is
                    evaluated on a physical grid large enough (>= 3n+1 points)
-                   that the retained band is alias-free, i.e. the 2/3 rule.
-                   The RHS works in real arithmetic on float views of the
-                   spectra and is bit-identical to the complex formula
-                   ``(k^2 - k^4) c - (ik/2) FFT[u^2]``.
+                   that the retained band is alias-free, i.e. the 2/3 rule:
+                   the least 5-smooth length >= 3n+1.  The transforms are
+                   the forward-normalized pair (``norm="forward"``: the
+                   inverse unscaled, the forward one times 1/M), so the
+                   state enters the grid as it is.  The RHS works in real
+                   arithmetic on float views of the spectra and is
+                   bit-identical to the complex formula
+                   ``(k^2 - k^4) c - (ik/2) rfft(irfft(c)^2)``.
 * odd-periodic  -- second-order central finite differences on the interior
                    grid, with u = u_xx = 0 at both ends enforced by
                    odd-reflection ghost points.  The nonlinearity is the
@@ -31,8 +35,9 @@ its stiff linear operator, which picks its integrator
 ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
 (``crank_nicolson``).  It implements the one method
 ``rhs(t, state, nonlinear=False)``: f, or with ``nonlinear`` the explicit
-part N = f - lam state the steppers take, the product lam state formed
-once.
+part N = f - lam state the steppers take.  The periodic model forms N, the
+quadratic term, directly and adds lam c only for f; the odd model forms
+lam a once and subtracts it again.
 
 Both models call their FFT kernels directly, not through the public
 functions, whose dispatch and checks cost more than the transform at these
@@ -87,12 +92,14 @@ def _one_resolution(name, needed):
 
 
 def _next_fast_len(target):
-    """The least 11-smooth integer >= ``target`` (a positive integer): the
-    FFT-friendly length that ``scipy.fft.next_fast_len(target)`` returns."""
+    """The least 5-smooth integer >= ``target`` (a positive integer): the
+    FFT-friendly length that ``scipy.fftpack.next_fast_len(target)``
+    returns, at which numpy's real FFT pair runs faster than at the least
+    11-smooth one."""
     n = target
     while True:
         rest = n
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -128,27 +135,28 @@ class PeriodicSpectralModel(DynamicalSystem):
         growth = self.k**2 - self.k**4
         super().__init__(2 * n_modes + 1, stiff_linear_part=np.concatenate(
             [growth, growth[..., 1:]], axis=-1))
+        # i.i.d. coordinates of this spread make u(x) unit-variance at every
+        # grid point: var u = (1 + 4n) var c (``dynamics.initial_state``)
+        self.initial_std = 1 / np.sqrt(1 + 4 * n_modes)
         # the quadratic term's factors on [Im sq_0..n, Re sq_1..n], +k/2 then
-        # -k/2, so that one product forms it: (-k/2) x = -(k/2 x) exactly,
-        # and x + (-y) rounds as x - y
+        # -k/2, so that one product per half forms it: -(ik/2) sq
         half_k = 0.5 * self.k
-        self._signed_half_k = np.concatenate([half_k, -half_k[..., 1:]], axis=-1)
-        # 1/M: the factor np.fft.irfft passes its kernel, and the one numpy's
-        # complex ``/ M`` multiplies by
+        self._half_k, self._minus_half_k = half_k, -half_k[..., 1:]
+        # 1/M: the factor np.fft.rfft(norm="forward") passes its kernel
         self._inv_grid_size = np.reciprocal(self.grid_size, dtype=float)
         from numpy.fft import _pocketfft_umath as kernels
         self._irfft = kernels.irfft
         # np.fft.rfft picks its kernel by the parity of the length: M is
-        # 11-smooth, not always even
+        # 5-smooth, not always even
         self._rfft = kernels.rfft_n_even if self.grid_size % 2 == 0 else kernels.rfft_n_odd
         self._work = {}  # block shape -> work arrays of that shape
 
     def _work_arrays(self, shape):
         """The work arrays of a block of ``shape``: the padded spectrum with
         views of its Re c_0..n and Im c_1..n, the physical grid, the squared
-        field's spectrum with views of its Im sq_0..n and Re sq_1..n, and
-        lam c in the result's shape.  The spectrum's padding and Im c_0 stay
-        zero, as only its retained band is written."""
+        field's spectrum with views of its Im sq_0..n and Re sq_1..n, and the
+        result's shape.  The spectrum's padding and Im c_0 stay zero, as only
+        its retained band is written."""
         work = self._work.get(shape)
         if work is None:
             n, lead, half = self.n_modes, shape[:-1], self.grid_size // 2 + 1
@@ -160,38 +168,35 @@ class PeriodicSpectralModel(DynamicalSystem):
                 spectrum, parts[..., : n + 1, 0], parts[..., 1 : n + 1, 1],
                 np.empty(lead + (self.grid_size,)),
                 sq, sq_parts[..., : n + 1, 1], sq_parts[..., 1 : n + 1, 0],
-                np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
+                np.broadcast_shapes(self.stiff_linear_part.shape, shape))
         return work
 
     def rhs(self, t, state, nonlinear=False):
-        """f(c) = (k^2 - k^4) c_k - (ik/2) FFT[u^2]_k on the real state, or
-        with ``nonlinear`` N(c) = f(c) - lam c, the product lam c formed once.
+        """f(c) = (k^2 - k^4) c - (ik/2) rfft(irfft(c)^2) on the real state,
+        the pair forward-normalized; or with ``nonlinear`` the quadratic
+        term N(c) = -(ik/2) rfft(irfft(c)^2) alone, and f = N + lam c.
 
         Evaluated in real arithmetic on float views of the complex spectra,
-        with the operations of the complex formula
-        ``(k**2 - k**4) * c - 0.5j * k * (rfft(irfft(c * M)**2) / M)``
-        in the same order, so the result has the same bits (numpy's complex
-        ``/ M`` multiplies by ``1 / M``, and D + lam c, D the quadratic term,
-        has the bits of lam c + D).  The result is a new array; the work
-        arrays are the model's, kept per block shape.
+        with the bits of the complex formula
+        ``-0.5j * k * rfft(irfft(c, M, norm="forward")**2, norm="forward")``
+        for N (-(ik/2)(a + ib) = (k/2) b - i (k/2) a, one product per part).
+        The result is a new array; the work arrays are the model's, kept per
+        block shape.
         """
-        n, M, inv_M = self.n_modes, self.grid_size, self._inv_grid_size
-        spectrum, re_c, im_c, u, sq, im_sq, re_sq, lam_s = self._work_arrays(state.shape)
-        # the padded spectrum, scaled by M for the rfft normalization
-        np.multiply(state[..., : n + 1], M, out=re_c)
-        np.multiply(state[..., n + 1 :], M, out=im_c)
+        n = self.n_modes
+        spectrum, re_c, im_c, u, sq, im_sq, re_sq, shape = self._work_arrays(state.shape)
+        np.copyto(re_c, state[..., : n + 1])
+        np.copyto(im_c, state[..., n + 1 :])
         # the kernels, not np.fft.irfft/rfft: their dispatch costs more than
         # the transforms at these sizes, and a test pins the bits to np.fft
-        self._irfft(spectrum, inv_M, out=u)
+        self._irfft(spectrum, 1.0, out=u)
         u *= u
-        self._rfft(u, 1.0, out=sq)
-        out = np.empty(lam_s.shape)
-        np.multiply(im_sq, inv_M, out=out[..., : n + 1])
-        np.multiply(re_sq, inv_M, out=out[..., n + 1 :])
-        out *= self._signed_half_k
-        out += np.multiply(self.stiff_linear_part, state, out=lam_s)
-        if nonlinear:
-            out -= lam_s
+        self._rfft(u, self._inv_grid_size, out=sq)
+        out = np.empty(shape)
+        np.multiply(im_sq, self._half_k, out=out[..., : n + 1])
+        np.multiply(re_sq, self._minus_half_k, out=out[..., n + 1 :])
+        if not nonlinear:
+            out += self.stiff_linear_part * state
         return out
 
     def to_physical(self, state):
@@ -201,9 +206,9 @@ class PeriodicSpectralModel(DynamicalSystem):
         coeffs = state[..., : n + 1].astype(complex)
         coeffs[..., 1:] += 1j * state[..., n + 1 :]
         full = np.zeros(M // 2 + 1, dtype=complex)
-        full[: n + 1] = coeffs * M
+        full[: n + 1] = coeffs
         x = self.L * np.arange(M) / M
-        return x, np.fft.irfft(full, M)
+        return x, np.fft.irfft(full, M, norm="forward")
 
     def field_mean(self, state):
         return float(np.asarray(state)[..., 0])
@@ -225,8 +230,11 @@ class OddPeriodicFDModel(DynamicalSystem):
     ``-(mu_j**2 + mu_j)``, where ``mu_j = -(4/h**2) sin(j*pi/(2(n+1)))**2`` is
     the eigenvalue of the second difference D2 (Strang, SIAM Review 1999).
     So the first m coordinate vectors, from which every Lyapunov frame
-    starts, are the m lowest sine modes.  ``L`` is one length or a sequence
-    (see :func:`make_model`).
+    starts, are the m lowest sine modes.  The random start
+    (``dynamics.initial_state``) draws the coordinates with unit variance,
+    so the grid field has unit variance at every point, the DST-I being
+    orthonormal.  ``L`` is one length or a sequence (see
+    :func:`make_model`).
     """
 
     crank_nicolson = True

@@ -153,8 +153,9 @@ def reorthonormalize(V):
 def compute_spectrum(system, cfg, u0=None):
     """Run the full reorthonormalization algorithm and return the spectrum.
 
-    The initial condition defaults to ``initial_state(dim, cfg.seed)``, a
-    standard-normal state; pass ``u0`` to start from a specific state instead.
+    The initial condition defaults to ``initial_state(system, cfg.seed)``,
+    the system's random start; pass ``u0`` to start from a specific state
+    instead.
     A ``(G, dim)`` ``u0`` runs G spectra in lockstep, one per row: G starts
     of one system, or one start per member of a lockstep system
     (``ks.make_model`` of G lengths), which needs one.  The result's arrays
@@ -172,7 +173,7 @@ def compute_spectrum(system, cfg, u0=None):
     if cfg.m > system.dim:
         raise ValueError(f"m={cfg.m} exceeds system dimension {system.dim}")
     if u0 is None:
-        u0 = initial_state(system.dim, cfg.seed)
+        u0 = initial_state(system, cfg.seed)
     u0 = np.asarray(u0, dtype=float)
     members = np.shape(system.stiff_linear_part)[:-2]
     if members and u0.shape[:-1] != members:

@@ -49,8 +49,12 @@ from .lyapunov import LyapunovConfig, compute_spectrum
 #: picks it from the system), then the revisions since the first release.
 #: Odd-periodic spectra start from sine modes instead of grid-point
 #: perturbations, and the odd model steps in its sine (DST-I) coordinates,
-#: the same map with other rounding.
-NUMERICS = {PERIODIC: {"scheme": "etdrk4"},
+#: the same map with other rounding.  The periodic model evaluates its
+#: quadratic term on a 5-smooth grid with the forward-normalized FFT pair
+#: (the same alias-free term with other rounding), and its random start has
+#: unit variance per grid point instead of per coordinate.
+NUMERICS = {PERIODIC: {"scheme": "etdrk4", "grid": "5-smooth, norm=forward",
+                       "initial_state": "unit grid variance"},
             ODD_PERIODIC: {"scheme": "imex_cnab2", "initial_frame": "sine",
                            "coordinates": "dst1"}}
 
@@ -245,7 +249,7 @@ def compute_group(bc, Ls, k_max, lyap, seeds):
     if len(Ls) == 1:
         return [compute_point(bc, Ls[0], k_max, lyap, seeds[0])]
     system = make_model(bc, Ls, k_max)
-    u0 = np.stack([initial_state(system.dim, seed) for seed in seeds])
+    u0 = np.stack([initial_state(system, seed) for seed in seeds])
     try:
         result = compute_spectrum(system, lyap, u0)
     except RUN_FAILURES:

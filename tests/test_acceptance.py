@@ -254,7 +254,7 @@ def test_dimension_recompute_invariant(tmp_path):
 def test_mean_conservation_invariant():
     from kslyap import PeriodicSpectralModel, initial_state, integrate
     model = PeriodicSpectralModel(36.0)
-    u0 = initial_state(model.dim, 3)
+    u0 = initial_state(model, 3)
     u = integrate(model, u0, 100.0, 0.05)
     drift = abs(model.field_mean(u) - model.field_mean(u0))
     _report("mean conservation", drift < 1e-6, f"drift {drift:.2e} over 100 units")

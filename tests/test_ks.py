@@ -127,7 +127,7 @@ def test_stacked_rhs_rows_equal_each_members_rhs(bc, Ls):
     models = [make_model(bc, L) for L in Ls]
     system = make_model(bc, Ls)
     assert system.stiff_linear_part.shape == (len(Ls), 1, system.dim)
-    block = np.stack([[initial_state(system.dim, 10 * g + r) for r in range(3)]
+    block = np.stack([[initial_state(system, 10 * g + r) for r in range(3)]
                       for g in range(len(Ls))])
     out = system.rhs(0.0, block)
     for g, model in enumerate(models):
@@ -164,21 +164,30 @@ def test_make_model_refuses_lengths_of_another_resolution(bc, Ls, name):
 
 
 def test_initial_condition_determinism():
-    dim = PeriodicSpectralModel(36.0).dim
-    a = initial_state(dim, 0)
-    b = initial_state(dim, 0)
+    model = PeriodicSpectralModel(36.0)
+    a = initial_state(model, 0)
+    b = initial_state(model, 0)
     assert np.array_equal(a, b)
-    c = initial_state(dim, 1)
-    d = initial_state(dim, 2)
+    c = initial_state(model, 1)
+    d = initial_state(model, 2)
     assert np.max(np.abs(c - d)) > 0
 
 
 def test_initial_condition_moments():
-    dim = PeriodicSpectralModel(100.0).dim
-    samples = np.concatenate([initial_state(dim, s) for s in range(35)])
-    assert samples.size >= 10_000
-    assert abs(samples.mean()) < 0.05
-    assert abs(samples.var() - 1.0) < 0.1
+    # both models start with unit variance at every point of their physical
+    # grid: the periodic coordinates have variance 1/(1 + 4n), and the odd
+    # start is the standard-normal draw itself (its DST-I is orthonormal)
+    odd = OddPeriodicFDModel(100.0)
+    for s in range(3):
+        draw = np.random.Generator(np.random.PCG64(s)).standard_normal(odd.dim)
+        assert initial_state(odd, s).tobytes() == draw.tobytes()
+    for model in (PeriodicSpectralModel(100.0), odd):
+        # (the odd field's boundary zeros left out)
+        fields = np.stack([model.to_physical(initial_state(model, s))[1][1:-1]
+                           for s in range(35)])
+        assert fields.size >= 10_000
+        assert abs(fields.mean()) < 0.05
+        assert abs(fields.var() - 1.0) < 0.1
 
 
 def test_field_mean_constant_and_sine():
@@ -196,7 +205,7 @@ def test_field_mean_constant_and_sine():
 
 def test_periodic_mean_conservation():
     model = PeriodicSpectralModel(36.0)
-    u0 = initial_state(model.dim, 3)
+    u0 = initial_state(model, 3)
     u = integrate(model, u0, 100.0, DT)
     assert abs(model.field_mean(u) - model.field_mean(u0)) < 1e-6
 
@@ -240,7 +249,7 @@ def test_periodic_refinement_consistency():
     fine = PeriodicSpectralModel(22.0, k_max=18.0)
     assert fine.n_modes == 2 * coarse.n_modes
     assert fine.grid_size == 2 * coarse.grid_size
-    u0 = initial_state(coarse.dim, 5)
+    u0 = initial_state(coarse, 5)
     fine_u0 = np.zeros(fine.dim)
     fine_u0[: coarse.n_modes + 1] = u0[: coarse.n_modes + 1]
     fine_u0[fine.n_modes + 1: fine.n_modes + 1 + coarse.n_modes] = u0[coarse.n_modes + 1:]
@@ -254,7 +263,7 @@ def test_periodic_refinement_consistency():
 
 def test_odd_boundary_invariants_hold():
     model = OddPeriodicFDModel(18.0)
-    u0 = initial_state(model.dim, 1)
+    u0 = initial_state(model, 1)
     u = integrate(model, u0, 20.0, DT)
     x, full = model.to_physical(u)
     assert full[0] == 0.0 and full[-1] == 0.0
@@ -264,32 +273,36 @@ def test_odd_boundary_invariants_hold():
 
 
 def _complex_rhs(model, state):
-    """The periodic RHS by its complex formula: unpack -> irfft -> square ->
-    rfft / M -> (k^2 - k^4) c - (ik/2) sq -> pack."""
+    """The periodic RHS by its complex formula, the FFT pair forward-
+    normalized: unpack -> irfft -> square -> rfft -> the quadratic term
+    N = -(ik/2) sq and f = (k^2 - k^4) c + N -> pack.  Returns (f, N)."""
     n, M, k = model.n_modes, model.grid_size, model.k
     coeffs = state[:, : n + 1].astype(complex)
     coeffs[:, 1:] += 1j * state[:, n + 1 :]
     full = np.zeros((state.shape[0], M // 2 + 1), dtype=complex)
-    full[:, : n + 1] = coeffs * M
-    u = np.fft.irfft(full, M, axis=-1)
-    sq = np.fft.rfft(u * u, axis=-1)[:, : n + 1] / M
-    dcoeffs = (k**2 - k**4) * coeffs - 0.5j * k * sq
-    return np.concatenate([dcoeffs.real, dcoeffs[:, 1:].imag], axis=-1)
+    full[:, : n + 1] = coeffs
+    u = np.fft.irfft(full, M, axis=-1, norm="forward")
+    sq = np.fft.rfft(u * u, axis=-1, norm="forward")[:, : n + 1]
+    quadratic = -0.5j * k * sq
+    dcoeffs = (k**2 - k**4) * coeffs + quadratic
+    return tuple(np.concatenate([z.real, z[:, 1:].imag], axis=-1)
+                 for z in (dcoeffs, quadratic))
 
 
 def _public_fft_rhs(model, block):
     """The periodic RHS in the model's real arithmetic, through np.fft.irfft
-    and np.fft.rfft: signed zeros included, the bits of its kernels.  (The
-    complex formula rounds alike but can give -0 where the model gives +0.)"""
-    n, M = model.n_modes, model.grid_size
+    and np.fft.rfft with ``norm="forward"``: signed zeros included, the bits
+    of its kernels.  (The complex formula rounds alike but can give -0 where
+    the model gives +0.)"""
+    n, M, half_k = model.n_modes, model.grid_size, 0.5 * model.k
     spectrum = np.zeros(block.shape[:-1] + (M // 2 + 1,), dtype=complex)
-    spectrum.real[..., : n + 1] = block[..., : n + 1] * M
-    spectrum.imag[..., 1 : n + 1] = block[..., n + 1 :] * M
-    u = np.fft.irfft(spectrum, M, axis=-1)
-    sq = np.fft.rfft(u * u, axis=-1)
-    quadratic = np.concatenate([sq.imag[..., : n + 1] * (1 / M),
-                                sq.real[..., 1 : n + 1] * (1 / M)], axis=-1)
-    return quadratic * model._signed_half_k + model.stiff_linear_part * block
+    spectrum.real[..., : n + 1] = block[..., : n + 1]
+    spectrum.imag[..., 1 : n + 1] = block[..., n + 1 :]
+    u = np.fft.irfft(spectrum, M, axis=-1, norm="forward")
+    sq = np.fft.rfft(u * u, axis=-1, norm="forward")
+    quadratic = np.concatenate([sq.imag[..., : n + 1] * half_k,
+                                sq.real[..., 1 : n + 1] * -half_k[..., 1:]], axis=-1)
+    return quadratic + model.stiff_linear_part * block
 
 
 LOCKSTEP = [21.7, 21.8, 21.9]
@@ -316,9 +329,9 @@ def _second_call_changes_nothing(call, block, results):
 
 @pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0, LOCKSTEP])
 def test_periodic_rhs_matches_the_complex_formula(L):
-    # f and the steppers' N = f - lam v (lam v formed once) have the bits of
-    # the complex formula, for a (rows, dim) block, a lockstep (G, rows, dim)
-    # block and a (dim,) state
+    # the steppers' N is the packed quadratic term of the complex formula,
+    # and f is N + lam v, bit for bit, for a (rows, dim) block, a lockstep
+    # (G, rows, dim) block and a (dim,) state
     model, lead, members = _members(L)
     lam = model.stiff_linear_part
     rng = np.random.default_rng(int(10 * np.max(L)))
@@ -327,10 +340,11 @@ def test_periodic_rhs_matches_the_complex_formula(L):
         before = block.copy()
         got = model.rhs(0.0, block)
         nonlinear = model.rhs_batch(0.0, block, nonlinear=True)
-        want = np.reshape([_complex_rhs(m, b) for m, b in
-                           zip(members, block.reshape(-1, rows, model.dim))], block.shape)
-        assert np.array_equal(got, want)
-        assert np.array_equal(nonlinear, want - lam * block)
+        want = [np.reshape(w, block.shape) for w in zip(*(
+            _complex_rhs(m, b) for m, b in zip(members, block.reshape(-1, rows, model.dim))))]
+        assert np.array_equal(got, want[0])
+        assert np.array_equal(nonlinear, want[1])
+        assert got.tobytes() == (nonlinear + lam * block).tobytes()
         assert np.array_equal(block, before)
         _second_call_changes_nothing(
             lambda other: (model.rhs(0.0, other), model.rhs_batch(0.0, other, nonlinear=True)),
@@ -341,6 +355,35 @@ def test_periodic_rhs_matches_the_complex_formula(L):
             for f_row, n_row, state in zip(f, n, states):
                 assert f_row.tobytes() == m.rhs(0.0, state).tobytes()
                 assert n_row.tobytes() == m.rhs_batch(0.0, state, nonlinear=True).tobytes()
+
+
+def _truncated_convolution(model, state):
+    """The periodic quadratic term by its O(n^2) definition, without a
+    grid: -(ik/2) sum_{p+q=k} c_p c_q over the retained band |p|, |q| <= n,
+    with c_{-p} = conj(c_p); packed like the state."""
+    n = model.n_modes
+    c = state[: n + 1].astype(complex)
+    c[1:] += 1j * state[n + 1 :]
+    full = np.concatenate([np.conj(c[:0:-1]), c])  # c_{-n} .. c_n
+    conv = np.array([sum(full[p + n] * full[k - p + n]
+                         for p in range(max(-n, k - n), min(n, k + n) + 1))
+                     for k in range(n + 1)])
+    quadratic = -0.5j * model.k * conv
+    return np.concatenate([quadratic.real, quadratic[1:].imag])
+
+
+@pytest.mark.parametrize("L, n, M", [(3.2, 5, 16), (30.5, 44, 135),
+                                     (22.0, 32, 100), (100.0, 144, 450)])
+def test_periodic_quadratic_term_is_the_alias_free_convolution(L, n, M):
+    # the padded grid makes the product exact on the retained band: at
+    # n = 5 the grid M = 16 is exactly 3n + 1, and M = 135 is odd
+    model = make_model("periodic", L)
+    assert (model.n_modes, model.grid_size) == (n, M)
+    rng = np.random.default_rng(n)
+    for state in rng.standard_normal((3, model.dim)):
+        got = model.rhs(0.0, state, nonlinear=True)
+        want = _truncated_convolution(model, state)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_the_fft_kernels_have_the_bits_of_the_public_functions():
@@ -357,13 +400,13 @@ def test_the_fft_kernels_have_the_bits_of_the_public_functions():
         assert ks._orthonormal_dst1(x).tobytes() == want
         assert ks._orthonormal_dst1(x[1]).tobytes() == want[8 * n : 16 * n]
         assert ks._orthonormal_dst1(x, out=x) is x and x.tobytes() == want
-    parities = set()
-    for L in (12.0, 22.0, 23.5, [23.4, 23.5, 23.6]):
+    sizes = []
+    for L in (12.0, 22.0, 30.5, 23.5, [23.4, 23.5, 23.6]):
         model = make_model("periodic", L)
-        parities.add(model.grid_size % 2)
+        sizes.append(model.grid_size)
         block = rng.standard_normal(np.shape(L) + (13, model.dim))
         assert model.rhs(0.0, block).tobytes() == _public_fft_rhs(model, block).tobytes()
-    assert parities == {0, 1}  # M = 55, 98, 105 and 105
+    assert sizes == [60, 100, 135, 108, 108]  # rfft_n_odd runs at M = 135
 
 
 @pytest.mark.parametrize("L", [22.0, 100.0, LOCKSTEP])
@@ -371,10 +414,10 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
     system, lead, members = _members(L)
     stepper = _ETDRK4Stepper(system, DT)
     E, E2, Q = stepper.e_full, stepper.e_half, stepper.q
-    f1, f2, f3, lam = stepper.f1, stepper.f2, stepper.f3, system.stiff_linear_part
+    f1, f2, f3 = stepper.f1, stepper.f2, stepper.f3
 
     def N(t, v):
-        return system.rhs(t, v) - lam * v
+        return system.rhs(t, v, nonlinear=True)
 
     t, h = 1.5, DT
     rng = np.random.default_rng(int(10 * np.max(L)))

@@ -151,7 +151,7 @@ def test_full_ks_spectrum_sums_to_the_trace_of_the_linear_part(bc, L, bound):
     # error, which must fall under step halving
     system = make_model(bc, L, k_max=3.0)
     trace = system.stiff_linear_part.sum()
-    u0 = 0.3 * initial_state(system.dim, 0)
+    u0 = 0.3 * initial_state(system, 0)
     errors = []
     for dt in (0.05, 0.025):
         cfg = LyapunovConfig(m=system.dim, tau=100.0, T=0.1, N=2000, dt=dt)
@@ -221,7 +221,7 @@ def test_a_stack_of_starts_equals_the_single_runs(bc, L):
     # (K, m+1, dim) block and one stacked QR per interval
     system = make_model(bc, L)
     cfg = LyapunovConfig(m=4, tau=5.0, T=0.5, N=6, epsilon=1e-6, dt=0.05)
-    u0 = np.stack([initial_state(system.dim, seed) for seed in range(3)])
+    u0 = np.stack([initial_state(system, seed) for seed in range(3)])
     together = compute_spectrum(system, cfg, u0)
     assert together.exponents.shape == (3, 4)
     for k in range(3):
@@ -292,7 +292,7 @@ def test_a_split_spectrum_is_bit_identical(monkeypatch, helpers, bc, L, starts):
     system = make_model(bc, L)
     cfg = LyapunovConfig(m=5, tau=1.0, T=0.5, N=4, epsilon=1e-6, dt=0.05)
     u0 = None if starts is None else np.stack(
-        [initial_state(system.dim, seed) for seed in range(starts)])
+        [initial_state(system, seed) for seed in range(starts)])
     split = compute_spectrum(system, cfg, u0)
     assert len(helpers) == 1
     monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
@@ -306,7 +306,7 @@ def test_a_split_lockstep_group_is_bit_identical(monkeypatch, helpers, bc, Ls):
     # a (G, m+1, dim) block, m+1 = 5 rows split 3 + 2
     system = make_model(bc, Ls)
     cfg = LyapunovConfig(m=4, tau=1.0, T=0.5, N=3, epsilon=1e-6, dt=0.05)
-    u0 = np.stack([initial_state(system.dim, seed) for seed in range(len(Ls))])
+    u0 = np.stack([initial_state(system, seed) for seed in range(len(Ls))])
     split = compute_spectrum(system, cfg, u0)
     monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
     _assert_same(split, compute_spectrum(system, cfg, u0))
@@ -380,7 +380,7 @@ def test_the_helper_ignores_ctrl_c(monkeypatch, helpers):
     split = compute_spectrum(system, cfg)
     assert len(calls) > 41
     monkeypatch.setattr(lyapunov, "SPLIT_NUMBERS", np.inf)
-    _assert_same(split, compute_spectrum(base, cfg))
+    _assert_same(split, compute_spectrum(system, cfg))
 
 
 @two_cpus

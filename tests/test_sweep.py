@@ -155,9 +155,16 @@ def test_resume_to_a_larger_L_end_keeps_rows(tmp_path):
 
 
 def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
-    # the periodic digest predates the sine frame and must stay
-    assert tiny_plan(tmp_path).fingerprint() == (
-        "4ea361e8ea1ca39ce027169e9c677bcf52c7aeabbab74cb6253d7e9374451a2b")
+    # the periodic digest since the 5-smooth grid and the bounded start;
+    # a sweep under the one before is refused
+    periodic = tiny_plan(tmp_path, name="periodic.csv")
+    assert periodic.fingerprint() == (
+        "fa656e510dc810a646c646cd12b0669fc5c7b460b53d3f6780084a93b87057c7")
+    before = "4ea361e8ea1ca39ce027169e9c677bcf52c7aeabbab74cb6253d7e9374451a2b"
+    with open(periodic.output_path, "w") as fh:
+        fh.write(f"# fingerprint={before}\n{header_row(2)}\n")
+    with pytest.raises(FingerprintMismatch):
+        run_sweep(periodic)
     plan = tiny_plan(tmp_path, bc="odd")
     # the odd digest since the model steps in sine coordinates
     assert plan.fingerprint() == (
@@ -253,8 +260,8 @@ def test_a_failing_member_flags_only_itself(tmp_path, monkeypatch):
     bad_seed = plan.point_seed(1)
     draw = sweep.initial_state
 
-    def initial_state(dim, seed):
-        return draw(dim, seed) * (1e7 if seed == bad_seed else 1.0)
+    def initial_state(system, seed):
+        return draw(system, seed) * (1e7 if seed == bad_seed else 1.0)
 
     monkeypatch.setattr(sweep, "initial_state", initial_state)
     monkeypatch.setattr(lyapunov, "initial_state", initial_state)
