@@ -46,9 +46,11 @@ the ``numpy.fft._pocketfft_umath`` gufuncs behind ``np.fft.irfft`` and
 ``np.fft.rfft``; the odd model runs scipy's pocketfft DST
 (``scipy.fft._pocketfft.pypocketfft.dst``, the kernel behind
 ``scipy.fft.dst(type=1, norm="ortho")``) through :func:`_orthonormal_dst1`.
-Only the odd model needs scipy: its kernel is imported when the first odd
-model is built, so a periodic run imports numpy alone.  Each model keeps
-its work arrays per block shape and returns a new array from ``rhs``.
+Only the odd model needs scipy, and only that compiled kernel: it is loaded
+from its file on the first DST, without importing ``scipy.fft``
+(:func:`_load_pocketfft`), so a periodic run imports numpy alone and an odd
+run numpy and one extension module.  Each model keeps its work arrays per
+block shape and returns a new array from ``rhs``.
 
 Given a sequence of G lengths instead of one, :func:`make_model` builds one
 lockstep system of G members: every array that depends on L (``L`` itself
@@ -58,6 +60,10 @@ bodies index with ``...``, so one body maps a ``(rows, dim)`` block and a
 ``(G, rows, dim)`` block, each member's rows with the bits of its own
 model's ``rhs``.
 """
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -69,9 +75,10 @@ ODD_PERIODIC = "odd"
 
 DEFAULT_K_MAX = 9.0
 
-# scipy's DST kernel, bound when the first odd model is built (every model
-# binds the same one), so that a periodic run loads no scipy
+# scipy's DST kernel, bound on the first call of _orthonormal_dst1, so that
+# a periodic run loads no scipy
 _pocketfft_dst = None
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
 def _domain_lengths(L):
@@ -107,10 +114,37 @@ def _next_fast_len(target):
         n += 1
 
 
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file under
+    ``scipy/fft/_pocketfft/`` without importing ``scipy`` or ``scipy.fft``.
+
+    The package ``__init__`` files import ``scipy._lib.array_api_compat``
+    and with it every numpy submodule, 150+ ms; the kernel file alone loads
+    in under 1 ms.  Loaded under its full name, it is the module that an
+    ``import scipy.fft`` before or after finds.  Raises ``ImportError`` if
+    scipy or the kernel file is missing.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")  # finds, does not import
+    where = [os.path.join(path, "fft", "_pocketfft")
+             for path in (scipy_spec and scipy_spec.submodule_search_locations) or ()]
+    spec = importlib.machinery.PathFinder.find_spec(_POCKETFFT, where)
+    if spec is None:
+        raise ImportError(
+            "the odd-periodic model needs scipy>=1.13 for its DST-I kernel; "
+            f"no {_POCKETFFT} extension in "
+            f"{', '.join(where) if where else 'sys.path (no scipy package)'}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _orthonormal_dst1(x, out=None):
     """The orthonormal DST-I of ``x`` along its last axis, its own inverse:
     ``scipy.fft.dst(x, type=1, norm="ortho")`` with the same bits, into
     ``out`` (a new array if None; may be ``x`` itself)."""
+    global _pocketfft_dst
+    if _pocketfft_dst is None:
+        _pocketfft_dst = _load_pocketfft().dst
     # the kernel, not scipy.fft.dst: its dispatch costs more than the DST at
     # these sizes, and a test pins the bits to scipy.fft.dst
     return _pocketfft_dst(x, 1, axes=(-1,), inorm=1, out=out, nthreads=1)
@@ -223,8 +257,8 @@ class OddPeriodicFDModel(DynamicalSystem):
     orthonormal DST-I coefficients of the grid field, ``u = dst(a)``, where
     ``dst`` is ``scipy.fft.dst(type=1, norm="ortho")``, its own inverse.  The
     model runs that transform's pocketfft kernel (:func:`_orthonormal_dst1`),
-    imported when the first odd model is built; ``scipy.fft.dst`` is the
-    reference its tests hold the bits to.
+    loaded on the first DST without importing ``scipy.fft``;
+    ``scipy.fft.dst`` is the reference its tests hold the bits to.
     Coordinate j is the sine mode sin(j*pi*x/L) on the grid, an eigenvector
     of the ghost-point operator ``-(D4 + D2)`` with the eigenvalue
     ``-(mu_j**2 + mu_j)``, where ``mu_j = -(4/h**2) sin(j*pi/(2(n+1)))**2`` is
@@ -258,8 +292,6 @@ class OddPeriodicFDModel(DynamicalSystem):
         super().__init__(n, stiff_linear_part=-(mu * mu + mu))
         self._four_h = 4 * self.h
         self._work = {}  # block shape -> work arrays of that shape
-        global _pocketfft_dst
-        from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
     def _work_arrays(self, shape):
         """The work arrays of a block of ``shape``: ``sq``, ``flux`` and lam a

@@ -1,15 +1,18 @@
-"""Cold start: the periodic path and the fits import numpy alone (without
-``numpy.ma``), scipy loads when the first odd model is built, and
-multiprocessing only when a spectrum starts a row helper.  Each test runs in
-a fresh interpreter, so an import put back at the top of a kslyap module
-shows up in its ``sys.modules``."""
+"""Cold start: the periodic path and the fits import numpy alone, the odd
+path adds scipy's compiled DST-I kernel without ``scipy.fft`` (neither
+loads ``numpy.ma``), and multiprocessing loads only when a spectrum starts a
+row helper.  Each test runs in a fresh interpreter, so an import put back at
+the top of a kslyap module shows up in its ``sys.modules``."""
 
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
+
 import kslyap
+from kslyap import make_model
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kslyap.__file__)))
 
@@ -66,10 +69,8 @@ print(json.dumps({{"rcs": rcs, "loaded": "multiprocessing" in sys.modules}}))
 
 
 def test_a_tiny_lyap_loads_no_numpy_ma(tmp_path):
-    # numpy.ma takes about 10 ms to import.  An odd model imports scipy.fft,
-    # which loads every numpy submodule, numpy.ma among them; so for odd the
-    # check is that numpy.ma enters sys.modules (insertion-ordered) after
-    # scipy, not before it, where the model's own code would put it.
+    # numpy.ma takes about 10 ms to import; scipy.fft would load it with
+    # every other numpy submodule, which the odd model's kernel does not
     code = f"""
 import contextlib, io, json, sys
 from kslyap import cli
@@ -77,17 +78,13 @@ loaded = {{}}
 for bc in ("periodic", "odd"):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["lyap", "--bc", bc, "--L", "22"] + {TINY!r})
-    names = list(sys.modules)
-    loaded[bc] = [rc, names.index("numpy.ma") - names.index("scipy")
-                  if "numpy.ma" in names else None]
+    loaded[bc] = [rc, "numpy.ma" in sys.modules]
 print(json.dumps(loaded))
 """
-    got = fresh(code, tmp_path)
-    assert got["periodic"] == [0, None]
-    assert got["odd"][0] == 0 and got["odd"][1] > 0
+    assert fresh(code, tmp_path) == {"periodic": [0, False], "odd": [0, False]}
 
 
-def test_odd_lyap_loads_scipy_fft(tmp_path):
+def test_odd_lyap_loads_no_scipy_fft(tmp_path):
     code = f"""
 import contextlib, io, json, sys
 from kslyap import cli
@@ -97,7 +94,47 @@ print(json.dumps({{"rc": rc, "loaded": {SCIPY_LOADED}}}))
 """
     got = fresh(code, tmp_path)
     assert got["rc"] == 0
-    assert "scipy.fft" in got["loaded"]
+    assert "scipy.fft" not in got["loaded"]
+    assert not [m for m in got["loaded"] if m.startswith("scipy._lib")]
+
+
+# a seeded (3, 117) block at L=41, and the bits of scipy.fft.dst on it
+ODD_BLOCK = """
+import json, sys
+import numpy as np
+from kslyap import ks, make_model
+x = np.random.default_rng(41).standard_normal((3, 117))
+"""
+SCIPY_DST = 'scipy.fft.dst(x, type=1, norm="ortho").tobytes()'
+
+
+def test_the_dst_helper_works_before_any_model(tmp_path):
+    code = ODD_BLOCK + f"""
+first = ks._orthonormal_dst1(x).tobytes()
+loaded = {SCIPY_LOADED}
+import scipy.fft
+print(json.dumps({{"loaded": loaded, "dst_equal": first == {SCIPY_DST}}}))
+"""
+    assert fresh(code, tmp_path) == {"loaded": [], "dst_equal": True}
+
+
+def test_either_import_order_gives_the_same_bits(tmp_path):
+    # the odd model loads the kernel before scipy.fft is imported, or after:
+    # one module either way, with the bits of scipy.fft.dst, and the rhs has
+    # the bits it has in this process
+    rhs = 'rhs = make_model("odd", 41.0).rhs(0.0, x).tobytes().hex()\n'
+    model_first = ODD_BLOCK + rhs + "import scipy.fft\n"
+    scipy_first = "import scipy.fft" + ODD_BLOCK + rhs
+    report = f"""
+from scipy.fft._pocketfft import pypocketfft
+print(json.dumps({{"rhs": rhs, "dst_equal": ks._orthonormal_dst1(x).tobytes() == {SCIPY_DST},
+                  "one_kernel": ks._pocketfft_dst is pypocketfft.dst}}))
+"""
+    want = make_model("odd", 41.0).rhs(
+        0.0, np.random.default_rng(41).standard_normal((3, 117))).tobytes().hex()
+    for code in (model_first, scipy_first):
+        assert fresh(code + report, tmp_path) == {
+            "rhs": want, "dst_equal": True, "one_kernel": True}
 
 
 def test_grid_helper_is_scipy_next_fast_len(tmp_path):

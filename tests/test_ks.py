@@ -409,6 +409,27 @@ def test_the_fft_kernels_have_the_bits_of_the_public_functions():
     assert sizes == [60, 100, 135, 108, 108]  # rfft_n_odd runs at M = 135
 
 
+@pytest.mark.parametrize("missing", ["kernel", "scipy"])
+def test_a_missing_dst_kernel_is_an_import_error(monkeypatch, missing):
+    # the kernel is looked up on the first DST; with no scipy, or no kernel
+    # file in scipy/fft/_pocketfft/, that is an ImportError naming the floor
+    monkeypatch.setattr(ks, "_pocketfft_dst", None)
+    if missing == "kernel":
+        find_spec = ks.importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            ks.importlib.machinery.PathFinder, "find_spec",
+            lambda name, path=None, target=None:
+                None if name == ks._POCKETFFT else find_spec(name, path, target))
+        where = "_pocketfft"
+    else:
+        monkeypatch.setattr(ks.importlib.util, "find_spec", lambda name: None)
+        where = "no scipy package"
+    with pytest.raises(ImportError, match="scipy>=1.13") as error:
+        ks._orthonormal_dst1(np.ones(5))
+    assert where in str(error.value)
+    assert ks._pocketfft_dst is None
+
+
 @pytest.mark.parametrize("L", [22.0, 100.0, LOCKSTEP])
 def test_etdrk4_step_matches_the_textbook_expression(L):
     system, lead, members = _members(L)
