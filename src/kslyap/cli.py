@@ -104,7 +104,10 @@ def _meta_lines(cmd, cfg):
 
 def _parse_grid(text):
     """The points of ``start:step:end`` (``analysis._grid``)."""
-    start, step, end = (float(v) for v in text.split(":"))
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise KslyapError(f"grid {text!r} must be start:step:end")
+    start, step, end = (float(v) for v in fields)
     if not step > 0 or not end >= start:
         raise KslyapError(f"grid {text!r} needs step > 0 and end >= start")
     return analysis._grid(start, step, end)

@@ -1,25 +1,25 @@
 """Autonomous dynamical systems and fixed-step time integration.
 
-A system is described by its dimension and a right-hand-side function
-``rhs(t, u)``.  States are 1-D real arrays of length ``dim``; ``rhs`` also
+A system is two parts: a diagonal linear part lam (``stiff_linear_part``,
+zeros when the system declares none) and an explicit part N, so that
+du/dt = lam u + N(u).  States are 1-D real arrays of length ``dim``; N also
 accepts a ``(batch, dim)`` array of states, or any block with more leading
-axes, and returns the elementwise right-hand sides, which lets callers
-propagate many trajectories in lockstep (used heavily by the Lyapunov
-engine).  A lockstep system of G members (``ks.make_model`` of G lengths)
-declares its operator with a leading member axis, shape ``(G, 1, dim)``,
-and steps ``(G, rows, dim)`` blocks; every row of a block gets the bits it
-gets alone, as each stepper builds its coefficients member by member with
-the code of a single system (ETDRK4) or elementwise (IMEX-CNAB2).
+axes, and returns the elementwise results, which lets callers propagate
+many trajectories in lockstep (used heavily by the Lyapunov engine).  A
+lockstep system of G members (``ks.make_model`` of G lengths) declares lam
+with a leading member axis, shape ``(G, 1, dim)``, and steps
+``(G, rows, dim)`` blocks; every row of a block gets the bits it gets
+alone, as each stepper builds its coefficients member by member with the
+code of a single system (ETDRK4) or elementwise (IMEX-CNAB2).
 
-The system determines its fixed-step scheme (:func:`make_stepper`) from the
-stiff linear operator it declares, a diagonal ``stiff_linear_part``:
+The system determines its fixed-step scheme (:func:`make_stepper`):
 
-* with ``crank_nicolson`` -- IMEX-CNAB2: Crank-Nicolson on the diagonal
-  linear part, Adams-Bashforth-2 on the rest, each step a diagonal update;
+* with ``crank_nicolson`` -- IMEX-CNAB2: Crank-Nicolson on lam,
+  Adams-Bashforth-2 on N, each step a diagonal update;
 * without                 -- ETDRK4: exponential time differencing RK4
   (Cox-Matthews, with the Kassam-Trefethen contour evaluation of the
-  phi-function coefficients);
-* no stiff part           -- classic explicit RK4, for non-stiff systems.
+  phi-function coefficients).  At lam = 0 it is classical RK4, so a
+  system with no stiff part (the Lorenz oracle) runs with it too.
 
 A system builds each stepper once: :func:`integrate` takes the stepper of
 its step ``dt`` from a cache on the system, one stepper per step size, and
@@ -28,16 +28,14 @@ it takes, so IMEX-CNAB2 opens each ``integrate`` call with an Euler step for
 the explicit part, as a newly built stepper does; results do not depend on
 what the system integrated before.
 
-A system is evaluated through one method, ``rhs(t, u, nonlinear=False)``,
+A system is evaluated through one method, ``rhs(t, u)``, which returns N,
 and every stepper reaches it through ``DynamicalSystem.rhs_batch``: ETDRK4
-four times a step, IMEX-CNAB2 once.  Both take the explicit part
-N(v) = f(v) - lam v from it (``nonlinear=True``).  The base ``rhs`` runs
-the wrapped function and subtracts lam v from its result.  The periodic KS
-model forms N directly and adds lam v only for f; the odd model forms lam v
-once and subtracts it again.  Both KS models and the ETDRK4 stepper keep
-work arrays per block shape and return new arrays, so no model or stepper
-may be stepped from two threads at once (a forked process has its own
-copies).
+four times a step, IMEX-CNAB2 once.  The base ``rhs`` runs the wrapped
+function; the periodic KS model returns its quadratic term and the odd
+model forms lam v once and subtracts it again.  Both KS models and the
+ETDRK4 stepper keep work arrays per block shape and return new arrays, so
+no model or stepper may be stepped from two threads at once (a forked
+process has its own copies).
 """
 
 import numpy as np
@@ -49,21 +47,18 @@ BLOWUP_NORM = 1e6
 
 
 class DynamicalSystem:
-    """An autonomous ODE  du/dt = rhs(t, u)  on R^dim.
+    """An autonomous ODE  du/dt = lam u + N(u)  on R^dim.
 
-    A system with a stiff linear operator declares its diagonal,
-    ``stiff_linear_part``, and that declaration picks its integrator (see
-    :func:`make_stepper`): ETDRK4, or IMEX-CNAB2 when its class sets
-    ``crank_nicolson``.  A system that declares no stiff part is run with
-    RK4.
+    ``stiff_linear_part`` is the diagonal lam, of shape ``(dim,)``, or
+    ``(G, 1, dim)`` for a lockstep system of G members; a scalar is that
+    rate on every coordinate, and the default is lam = 0.  The system is
+    integrated by ETDRK4, or by IMEX-CNAB2 when its class sets
+    ``crank_nicolson`` (see :func:`make_stepper`).
 
-    ``rhs(t, u, nonlinear=False)`` is the one method that evaluates a
-    system: f(u), or with ``nonlinear`` N(u) = f(u) - lam u (``lam`` the
-    ``stiff_linear_part``).  ``DynamicalSystem(dim, rhs, ...)`` wraps a
-    right-hand-side function ``rhs(t, u)``, and the base method runs it and
-    subtracts ``lam * u``; a subclass (the KS models of ``ks``) overrides the
-    method instead and passes none.  ``stiff_linear_part`` has shape
-    ``(dim,)``, or ``(G, 1, dim)`` for a lockstep system of G members.
+    ``rhs(t, u)`` is the one method that evaluates a system: the explicit
+    part N(u).  ``DynamicalSystem(dim, rhs, ...)`` wraps a function
+    ``rhs(t, u)`` that returns N, and the base method runs it; a subclass
+    (the KS models of ``ks``) overrides the method instead and passes none.
     ``rhs`` must return a new array: the ETDRK4 and IMEX-CNAB2 steppers
     update it in place.
     The system keeps the steppers :func:`integrate` builds for it, one per
@@ -75,32 +70,28 @@ class DynamicalSystem:
     crank_nicolson = False
     initial_std = 1.0
 
-    def __init__(self, dim, rhs=None, stiff_linear_part=None):
+    def __init__(self, dim, rhs=None, stiff_linear_part=0.0):
         if dim <= 0:
             raise ValueError("system dimension must be positive")
         self._function = rhs
-        if stiff_linear_part is not None:
-            stiff_linear_part = np.asarray(stiff_linear_part, dtype=float)
-            if stiff_linear_part.shape[-1:] != (dim,):
-                raise ValueError("stiff_linear_part must have dim entries on its last axis")
-        elif self.crank_nicolson:
-            raise ValueError("crank_nicolson needs a stiff_linear_part")
+        lam = np.asarray(stiff_linear_part, dtype=float)
+        if lam.ndim == 0:  # one rate for every coordinate
+            lam = np.full(dim, lam)
+        if lam.shape[-1:] != (dim,):
+            raise ValueError("stiff_linear_part must have dim entries on its last axis")
         self.dim = dim
-        self.stiff_linear_part = stiff_linear_part
+        self.stiff_linear_part = lam
         self._steppers = {}
 
-    def rhs(self, t, states, nonlinear=False):
-        """f for a (..., batch, dim) block of states from the wrapped
-        function; with ``nonlinear``, N(v) = f(v) - lam v."""
-        out = self._function(t, states)
-        if nonlinear:
-            out -= self.stiff_linear_part * states
-        return out
+    def rhs(self, t, states):
+        """N for a (..., batch, dim) block of states, from the wrapped
+        function."""
+        return self._function(t, states)
 
-    def rhs_batch(self, t, states, nonlinear=False):
+    def rhs_batch(self, t, states):
         """``rhs`` of a (..., batch, dim) block of states, given as any
         array-like; every stepper evaluates its system through this method."""
-        return self.rhs(t, np.asarray(states, dtype=float), nonlinear)
+        return self.rhs(t, np.asarray(states, dtype=float))
 
 
 def initial_state(system, seed):
@@ -142,22 +133,9 @@ class _Stepper:
         pass
 
 
-class _RK4Stepper(_Stepper):
-    def __init__(self, system, dt):
-        self.f = system.rhs_batch
-        self.dt = dt
-
-    def step(self, t, u):
-        dt, f = self.dt, self.f
-        k1 = f(t, u)
-        k2 = f(t + dt / 2, u + dt / 2 * k1)
-        k3 = f(t + dt / 2, u + dt / 2 * k2)
-        k4 = f(t + dt, u + dt * k3)
-        return u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 class _ETDRK4Stepper(_Stepper):
-    """Cox-Matthews ETDRK4 for a diagonal stiff linear part.
+    """Cox-Matthews ETDRK4 for a diagonal linear part; at lam = 0 it is
+    classical RK4 (Q = h/2 and f1 = f2 = f3 = h/6 up to rounding).
 
     The four phi-function coefficient vectors are evaluated by averaging over
     32 points on a unit circle centred on each h*lambda, which is stable for
@@ -195,7 +173,7 @@ class _ETDRK4Stepper(_Stepper):
             a = E/2 u + Q N(u),   b = E/2 u + Q N(a),   c = E/2 a + Q (2 N(b) - N(u)),
             u' = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c),
 
-        with N(v) = f(v) - lam v from the system, evaluated in place in that
+        with N the system's explicit part, evaluated in place in that
         order of operations.  a, b and c live in work arrays the stepper
         keeps per block shape; the returned u' is a new array.
         """
@@ -205,19 +183,19 @@ class _ETDRK4Stepper(_Stepper):
             shape = np.broadcast_shapes(e_half.shape, u.shape)
             work = self._work[u.shape] = tuple(np.empty(shape) for _ in range(3))
         half_u, a, b = work
-        n0 = self.f(t, u, nonlinear=True)
+        n0 = self.f(t, u)
         np.multiply(e_half, u, out=half_u)
         np.multiply(q, n0, out=a)
         a += half_u
-        na = self.f(t + h / 2, a, nonlinear=True)
+        na = self.f(t + h / 2, a)
         np.multiply(q, na, out=b)
         b += half_u
-        nb = self.f(t + h / 2, b, nonlinear=True)
+        nb = self.f(t + h / 2, b)
         c = np.multiply(nb, 2, out=half_u)  # E/2 u is spent: c takes its array
         c -= n0
         c *= q
         c += np.multiply(e_half, a, out=b)
-        nc = self.f(t + h, c, nonlinear=True)
+        nc = self.f(t + h, c)
         out = self.e_full * u
         out += np.multiply(self.f1, n0, out=a)
         na += nb
@@ -233,7 +211,8 @@ class _IMEXCNAB2Stepper(_Stepper):
 
     With the linear part a diagonal ``lam``, a step is the elementwise
     update ``u' = (1 + dt/2 lam) u + dt E  over  1 - dt/2 lam``, with the
-    explicit term ``E = 3/2 N(u) - 1/2 N(u_prev)`` and N(v) = f(v) - lam v.
+    explicit term ``E = 3/2 N(u) - 1/2 N(u_prev)`` and N the system's
+    explicit part.
     The first step after construction or ``restart`` uses explicit Euler,
     ``E = N(u)``.
     """
@@ -251,7 +230,7 @@ class _IMEXCNAB2Stepper(_Stepper):
 
     def step(self, t, u):
         dt = self.dt
-        nl = self.f(t, u, nonlinear=True)
+        nl = self.f(t, u)
         if self._nl_prev is None:
             expl = nl * dt
         else:
@@ -266,11 +245,8 @@ class _IMEXCNAB2Stepper(_Stepper):
 
 
 def make_stepper(system, dt):
-    """The stepper of step ``dt`` for the scheme the system's stiff linear
-    operator calls for: IMEX-CNAB2 for a diagonal with ``crank_nicolson``,
-    ETDRK4 for one without, RK4 for none."""
-    if system.stiff_linear_part is None:
-        return _RK4Stepper(system, dt)
+    """The stepper of step ``dt`` for the system's scheme: IMEX-CNAB2 when
+    its class sets ``crank_nicolson``, ETDRK4 otherwise."""
     if system.crank_nicolson:
         return _IMEXCNAB2Stepper(system, dt)
     return _ETDRK4Stepper(system, dt)
@@ -334,7 +310,8 @@ def integrate(system, u0, t, dt):
 
 
 def lorenz_system(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
-    """The Lorenz-63 system; analytic Jacobian trace is -(sigma+1+beta)."""
+    """The Lorenz-63 system, all explicit (lam = 0, so ETDRK4 is classical
+    RK4); analytic Jacobian trace is -(sigma+1+beta)."""
 
     def rhs(t, u):
         x, y, z = u[..., 0], u[..., 1], u[..., 2]
@@ -344,10 +321,8 @@ def lorenz_system(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
 
 
 def diagonal_linear_system(rates):
-    """du/dt = diag(rates) u; Lyapunov exponents are exactly `rates`."""
+    """du/dt = diag(rates) u, declared as lam = rates with N = 0, so ETDRK4
+    integrates it exactly; Lyapunov exponents are exactly `rates`."""
     rates = np.asarray(rates, dtype=float)
-
-    def rhs(t, u):
-        return rates * u
-
-    return DynamicalSystem(dim=rates.size, rhs=rhs)
+    return DynamicalSystem(dim=rates.size, rhs=lambda t, u: np.zeros_like(u),
+                           stiff_linear_part=rates)

@@ -29,15 +29,14 @@ length L, resolving wavenumbers up to at least ``k_max`` (default 9); L and
 model's constructor is the one place that refuses a grid below its floor,
 with ``ResolutionTooCoarse``: ``n_modes < 4`` (periodic), ``n_interior < 2``
 (odd).
-Each model is a ``dynamics.DynamicalSystem``: it declares the diagonal of
-its stiff linear operator, which picks its integrator
-(``dynamics.make_stepper``): the periodic model's ``k^2 - k^4`` runs with
-ETDRK4, the odd model's finite-difference eigenvalues with IMEX-CNAB2
-(``crank_nicolson``).  It implements the one method
-``rhs(t, state, nonlinear=False)``: f, or with ``nonlinear`` the explicit
-part N = f - lam state the steppers take.  The periodic model forms N, the
-quadratic term, directly and adds lam c only for f; the odd model forms
-lam a once and subtracts it again.
+Each model is a ``dynamics.DynamicalSystem``: it declares the diagonal lam
+of its linear operator (``stiff_linear_part``), the periodic model's
+``k^2 - k^4`` integrated by ETDRK4, the odd model's finite-difference
+eigenvalues by IMEX-CNAB2 (``crank_nicolson``).  Its one method
+``rhs(t, state)`` returns the explicit part N, so that the KS right-hand
+side is f = lam state + N.  The periodic model's N is the quadratic term,
+formed directly; the odd model forms f in its own order of operations and
+subtracts lam a again, so its N carries that rounding.
 
 Both models call their FFT kernels directly, not through the public
 functions, whose dispatch and checks cost more than the transform at these
@@ -102,16 +101,22 @@ def _next_fast_len(target):
     """The least 5-smooth integer >= ``target`` (a positive integer): the
     FFT-friendly length that ``scipy.fftpack.next_fast_len(target)``
     returns, at which numpy's real FFT pair runs faster than at the least
-    11-smooth one."""
-    n = target
-    while True:
-        rest = n
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
+    11-smooth one.
+
+    Each product 3^b 5^c below the best length so far is rounded up by the
+    least power of two that brings it to ``target``: O(log(target)^2)
+    products, where a walk over the integers from ``target`` takes seconds
+    at 10^9."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two >= ceil(target / p35)
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _load_pocketfft():
@@ -205,10 +210,10 @@ class PeriodicSpectralModel(DynamicalSystem):
                 np.broadcast_shapes(self.stiff_linear_part.shape, shape))
         return work
 
-    def rhs(self, t, state, nonlinear=False):
-        """f(c) = (k^2 - k^4) c - (ik/2) rfft(irfft(c)^2) on the real state,
-        the pair forward-normalized; or with ``nonlinear`` the quadratic
-        term N(c) = -(ik/2) rfft(irfft(c)^2) alone, and f = N + lam c.
+    def rhs(self, t, state):
+        """The quadratic term N(c) = -(ik/2) rfft(irfft(c)^2) on the real
+        state, the pair forward-normalized; the KS right-hand side is
+        f(c) = (k^2 - k^4) c + N(c).
 
         Evaluated in real arithmetic on float views of the complex spectra,
         with the bits of the complex formula
@@ -229,8 +234,6 @@ class PeriodicSpectralModel(DynamicalSystem):
         out = np.empty(shape)
         np.multiply(im_sq, self._half_k, out=out[..., : n + 1])
         np.multiply(re_sq, self._minus_half_k, out=out[..., n + 1 :])
-        if not nonlinear:
-            out += self.stiff_linear_part * state
         return out
 
     def to_physical(self, state):
@@ -303,17 +306,17 @@ class OddPeriodicFDModel(DynamicalSystem):
                 np.empty(np.broadcast_shapes(self.stiff_linear_part.shape, shape)))
         return work
 
-    def rhs(self, t, state, nonlinear=False):
-        """f(a) = lam a - dst((u^2/2)_x) with u = dst(a), the sine
-        coefficients of the ghost-point stencils' -u_xxxx - u_xx - (u^2/2)_x;
-        or with ``nonlinear`` N(a) = f(a) - lam a, the product lam a formed
-        once.
+    def rhs(self, t, state):
+        """N(a) = (lam a - dst((u^2/2)_x)) - lam a with u = dst(a): the KS
+        right-hand side f(a) = lam a - dst((u^2/2)_x), the sine coefficients
+        of the ghost-point stencils' -u_xxxx - u_xx - (u^2/2)_x, less lam a,
+        the product lam a formed once.
 
         In this order of operations: ``sq = dst(a)**2`` in place; the flux
         ``(sq[i+1] - sq[i-1]) / (4 h)``, where the boundary zeros stand in
-        for the neighbours of the end points; then ``lam * a - dst(flux)``.
-        The result is a new array; the work arrays are the model's, kept per
-        block shape.
+        for the neighbours of the end points; then ``lam * a - dst(flux)``,
+        less ``lam * a``.  The result is a new array; the work arrays are
+        the model's, kept per block shape.
         """
         n = self.n
         sq, flux, lam_a = self._work_arrays(state.shape)
@@ -325,8 +328,7 @@ class OddPeriodicFDModel(DynamicalSystem):
         flux /= self._four_h
         np.multiply(self.stiff_linear_part, state, out=lam_a)
         out = lam_a - _orthonormal_dst1(flux, out=flux)
-        if nonlinear:
-            out -= lam_a
+        out -= lam_a
         return out
 
     def to_physical(self, state):

@@ -1,8 +1,12 @@
 import argparse
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kslyap
 from kslyap import IntegrationBlowUp, cli, kaplan_yorke
 from kslyap.cli import main
 from kslyap.sweep import read_records
@@ -101,6 +105,22 @@ def test_lyap_refuses_a_grid_below_the_floor(tmp_path, capsys, bc, L, floor):
                         "--T", "0.05", "--N", "1", "--out", str(out)], capsys)
     assert code == 1 and err.startswith(f"error: {floor} for L={L}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bc", ["periodic", "odd"])
+def test_lyap_refuses_a_huge_domain_at_once(tmp_path, bc):
+    # the grid sizes of L = 1e300 are found in a few products (the periodic
+    # padded grid too) and exceed numpy's array size: exit 1 with an error
+    # line.  Run in a subprocess with a timeout, so that a hang fails the
+    # test instead of the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kslyap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kslyap.cli", "lyap", "--bc", bc, "--L", "1e300",
+         "--m", "4", "--tau", "0", "--T", "0.05", "--N", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: Maximum allowed size exceeded\n"
 
 
 def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
@@ -393,14 +413,17 @@ def test_fit_scans_no_p_past_the_grid_end(tmp_path, capsys):
     assert [float(ln.split(",")[0]) for ln in pscan] == [0.1, 0.45, 0.8]
 
 
-@pytest.mark.parametrize("grid", ["0:0:2", "2:0.02:1"])
+@pytest.mark.parametrize("grid", ["0:0:2", "2:0.02:1", "1:2", "1:2:3:4"])
 def test_fit_refuses_a_grid_that_does_not_step_forward(tmp_path, capsys, grid):
     results = tmp_path / "synth.csv"
     _write_synthetic_sweep(results)
     code, _, err = run(["fit", "--results", str(results), "--p-grid", grid,
                         "--out", str(tmp_path / "fit")], capsys)
     assert code == 1
-    assert err == f"error: grid {grid!r} needs step > 0 and end >= start\n"
+    if grid.count(":") == 2:
+        assert err == f"error: grid {grid!r} needs step > 0 and end >= start\n"
+    else:
+        assert err == f"error: grid {grid!r} must be start:step:end\n"
     assert not (tmp_path / "fit_pscan.csv").exists()
 
 

@@ -141,15 +141,17 @@ def test_grid_helper_is_scipy_next_fast_len(tmp_path):
     code = f"""
 import json, sys
 from kslyap.ks import _next_fast_len
-ours = [_next_fast_len(t) for t in range(1, 10001)]
+targets = list(range(1, 10001)) + [10**9 + 1, 10**12 + 1]
+ours = [_next_fast_len(t) for t in targets]
 loaded = {SCIPY_LOADED}
 from scipy.fftpack import next_fast_len  # the 5-smooth one
-theirs = [next_fast_len(t) for t in range(1, 10001)]
-print(json.dumps({{"loaded": loaded, "equal": ours == theirs}}))
+theirs = [next_fast_len(t) for t in targets]
+print(json.dumps({{"loaded": loaded, "equal": ours == theirs, "billion": ours[10000]}}))
 """
     got = fresh(code, tmp_path)
     assert got["loaded"] == []
     assert got["equal"]
+    assert got["billion"] == 1006632960
 
 
 def test_periodic_grid_size_at_L22_and_L100(tmp_path):

@@ -6,7 +6,7 @@ from kslyap import (DynamicalSystem, IntegrationBlowUp, LyapunovConfig,
                     lorenz_system, make_model)
 from kslyap import cli, dynamics
 from kslyap.dynamics import (BLOWUP_NORM, _ETDRK4Stepper, _IMEXCNAB2Stepper,
-                             _RK4Stepper, _step_count, make_stepper)
+                             _step_count, make_stepper)
 from kslyap.sweep import NUMERICS
 from odd_fd_reference import SolveBandedCNAB2, to_grid
 
@@ -21,17 +21,16 @@ class CrankNicolsonSystem(DynamicalSystem):
     crank_nicolson = True
 
 
-def stiff_diagonal_system(rates):
-    """du/dt = diag(rates) u declared as a stiff diagonal part (run by ETDRK4)."""
+def explicit_linear_system(rates):
+    """du/dt = diag(rates) u declared as all explicit part (lam = 0), so
+    that ETDRK4 steps it as classical RK4."""
     rates = np.asarray(rates, dtype=float)
-    return DynamicalSystem(dim=rates.size, rhs=lambda t, u: rates * u,
-                           stiff_linear_part=rates)
+    return DynamicalSystem(dim=rates.size, rhs=lambda t, u: rates * u)
 
 
 DT = 0.01
 
-STEPPERS = {"rk4": _RK4Stepper, "etdrk4": _ETDRK4Stepper,
-            "imex_cnab2": _IMEXCNAB2Stepper}
+STEPPERS = {"etdrk4": _ETDRK4Stepper, "imex_cnab2": _IMEXCNAB2Stepper}
 
 
 def test_identity_flow():
@@ -40,7 +39,7 @@ def test_identity_flow():
 
 
 def test_rk4_exponential_decay():
-    u = integrate(diagonal_linear_system([-1.0]), np.array([1.0]), 1.0, DT)
+    u = integrate(explicit_linear_system([-1.0]), np.array([1.0]), 1.0, DT)
     assert abs(u[0] - np.exp(-1)) < 1e-8
 
 
@@ -55,26 +54,40 @@ def test_lorenz_stays_bounded():
     assert np.max(np.abs(a - b)) < 1e-3
 
 
-def test_rk4_fourth_order():
-    system = diagonal_linear_system([-1.0])
+def test_etdrk4_at_zero_rate_is_classical_rk4():
+    # with lam = 0, c = a + (h/2)(2 N(b) - N(u)) = u + h N(b), and the update
+    # weights are RK4's h/6, h/3, h/3, h/6, each to within 2 ulp
+    h = 0.05
+    stepper = make_stepper(lorenz_system(), h)
+    assert type(stepper) is _ETDRK4Stepper
+    assert np.all(stepper.e_full == 1) and np.all(stepper.e_half == 1)
+    for got, want in ((stepper.q, h / 2), (stepper.f1, h / 6),
+                      (2 * stepper.f2, h / 3), (stepper.f3, h / 6)):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_etdrk4_at_zero_rate_is_fourth_order():
+    # u' = -u^2 all explicit, exact solution u0 / (1 + u0 t): halving dt
+    # divides the error by 16
+    system = DynamicalSystem(dim=1, rhs=lambda t, u: -u * u)
     errs = []
-    for dt in (0.1, 0.05):
+    for dt in (0.2, 0.1):
         u = integrate(system, np.array([1.0]), 2.0, dt)
-        errs.append(abs(u[0] - np.exp(-2)))
+        errs.append(abs(u[0] - 1 / 3))
     ratio = errs[0] / errs[1]
     assert 16 * 0.8 < ratio < 16 * 1.2
 
 
 def test_etdrk4_exact_on_linear_problem():
     rates = np.array([-2.0, -0.5, 1.3])
-    system = stiff_diagonal_system(rates)
+    system = diagonal_linear_system(rates)
     u = integrate(system, np.ones(3), 1.0, 1.0)
     assert np.max(np.abs(u - np.exp(rates))) < 1e-14
 
 
 @pytest.mark.parametrize("scheme,dt", [("rk4", 0.01), ("etdrk4", 0.01)])
 def test_time_additivity(scheme, dt):
-    build = {"rk4": diagonal_linear_system, "etdrk4": stiff_diagonal_system}[scheme]
+    build = {"rk4": explicit_linear_system, "etdrk4": diagonal_linear_system}[scheme]
     system = build([-1.0, 0.2])
     u0 = np.array([1.0, 0.5])
     direct = integrate(system, u0, 2.0, dt)
@@ -98,12 +111,13 @@ def test_blow_up_carries_time():
     assert 0 < err.value.time <= 1.0
 
 
-# every scheme: RK4 (no stiff operator), ETDRK4 (a diagonal one) and
-# IMEX-CNAB2 (a diagonal one on a system whose class sets crank_nicolson)
-STIFF_OPERATORS = {"rk4": (DynamicalSystem, {}),
-                   "etdrk4": (DynamicalSystem, {"stiff_linear_part": np.array([-1.0, -2.0])}),
-                   "imex_cnab2": (CrankNicolsonSystem,
-                                  {"stiff_linear_part": np.array([-1.0, -2.0])})}
+# every scheme: ETDRK4 with no linear part (classical RK4) and with a
+# diagonal one, and IMEX-CNAB2 (a diagonal one on a system whose class sets
+# crank_nicolson)
+STIFF_OPERATORS = [("etdrk4", DynamicalSystem, {}),
+                   ("etdrk4", DynamicalSystem, {"stiff_linear_part": np.array([-1.0, -2.0])}),
+                   ("imex_cnab2", CrankNicolsonSystem,
+                    {"stiff_linear_part": np.array([-1.0, -2.0])})]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
@@ -112,10 +126,10 @@ def test_blow_up_detects_every_bad_value(bad):
     # from t = 0.5 the RHS of one component of the second row is `bad`: the
     # state turns NaN, infinite or beyond BLOWUP_NORM in the step that first
     # evaluates it, and every scheme reports a blow-up at the end of that
-    # step.  RK4 and ETDRK4 evaluate the RHS at the step's end, so they stop
-    # within one step of t = 0.5; IMEX-CNAB2 evaluates it at the step's
-    # start, so it stops up to one step later.
-    for scheme, (cls, operator) in STIFF_OPERATORS.items():
+    # step.  ETDRK4 evaluates the RHS at the step's end, so it stops within
+    # one step of t = 0.5; IMEX-CNAB2 evaluates it at the step's start, so
+    # it stops up to one step later.
+    for scheme, cls, operator in STIFF_OPERATORS:
         seen = []
 
         def rhs(t, u):
@@ -180,8 +194,8 @@ def test_config_validation():
     for dt in (0.0, -0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             integrate(system, np.ones(3), 1.0, dt)
-    with pytest.raises(ValueError):
-        CrankNicolsonSystem(dim=2, rhs=lambda t, u: u)
+    with pytest.raises(ValueError, match="dim entries"):
+        CrankNicolsonSystem(dim=2, rhs=lambda t, u: u, stiff_linear_part=[-1.0])
 
 
 @pytest.mark.parametrize("bc", ["periodic", "odd"])
@@ -191,12 +205,6 @@ def test_ks_system_steps_with_its_numerics_scheme(bc):
     expected = _ETDRK4Stepper if bc == "periodic" else _IMEXCNAB2Stepper
     assert type(stepper) is expected
     assert type(stepper) is STEPPERS[NUMERICS[bc]["scheme"]]
-
-
-@pytest.mark.parametrize("system", [lorenz_system(), diagonal_linear_system([0.3, -1.0])],
-                         ids=["lorenz", "diaglin"])
-def test_oracle_systems_step_with_rk4(system):
-    assert type(make_stepper(system, 0.01)) is _RK4Stepper
 
 
 def test_batched_matches_sequential():
@@ -237,8 +245,8 @@ def test_stepper_built_once_per_system_and_step(monkeypatch):
 
 
 def _wrapped_periodic_model():
-    """The periodic L=22 model's rhs as a wrapped function with its stiff
-    part: the base ``DynamicalSystem.rhs`` forms N(v) = f(v) - lam v."""
+    """The periodic L=22 model's rhs (its explicit part) as a wrapped
+    function with its stiff part."""
     model = make_model("periodic", 22.0)
     return DynamicalSystem(dim=model.dim, rhs=model.rhs,
                            stiff_linear_part=model.stiff_linear_part)
@@ -249,9 +257,8 @@ def test_steppers_evaluate_through_rhs_batch(monkeypatch, bc, per_step):
     # ETDRK4 evaluates its system 4 times a step and IMEX-CNAB2 once, each
     # time by DynamicalSystem.rhs_batch with the states as its third
     # positional argument; a tracer that wraps that method and reads
-    # args[2] counts every evaluation of every step.  The periodic model's
-    # N(v) is its quadratic term, and its f(v) has the bits of N(v) + lam v;
-    # a wrapped or odd system's N(v) has the bits of f(v) - lam v.
+    # args[2] counts every evaluation of every step.  rhs_batch is rhs, and
+    # a wrapped model's rhs has the bits of the model's own.
     seen = []
     rhs_batch = DynamicalSystem.rhs_batch
 
@@ -265,13 +272,10 @@ def test_steppers_evaluate_through_rhs_batch(monkeypatch, bc, per_step):
     integrate(system, block, 5 * 0.05, 0.05)
     integrate(system, block[0], 3 * 0.05, 0.05)
     assert seen == [block.shape] * 5 * per_step + [(1, system.dim)] * 3 * per_step
-    f = system.rhs(0.0, block)
-    nonlinear = system.rhs_batch(0.0, block, nonlinear=True)
-    lam_v = system.stiff_linear_part * block
-    if bc == "periodic":
-        assert f.tobytes() == (nonlinear + lam_v).tobytes()
-    else:
-        assert nonlinear.tobytes() == (f - lam_v).tobytes()
+    got = system.rhs_batch(0.0, block)
+    assert got.tobytes() == system.rhs(0.0, block).tobytes()
+    if bc == "wrapped":
+        assert got.tobytes() == make_model("periodic", 22.0).rhs(0.0, block).tobytes()
 
 
 def _odd_system():

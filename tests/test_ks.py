@@ -12,6 +12,12 @@ from odd_fd_reference import linear_matrix, stencil_rhs, to_grid
 DT = 0.05
 
 
+def ks_rhs(model, state):
+    """The KS right-hand side f = lam state + N(state) of a model, from its
+    diagonal linear part and its explicit part ``rhs``."""
+    return model.rhs(0.0, state) + model.stiff_linear_part * state
+
+
 def test_periodic_mode_count_l22():
     model = PeriodicSpectralModel(22.0)
     assert model.n_modes >= 32
@@ -20,7 +26,7 @@ def test_periodic_mode_count_l22():
 
 def test_periodic_zero_is_fixed_point():
     model = PeriodicSpectralModel(22.0)
-    assert np.all(model.rhs(0.0, np.zeros(model.dim)) == 0.0)
+    assert np.all(ks_rhs(model, np.zeros(model.dim)) == 0.0)
 
 
 def test_periodic_neutral_wavenumber():
@@ -44,7 +50,7 @@ def test_odd_grid_count_l18():
 
 def test_odd_zero_is_fixed_point():
     model = OddPeriodicFDModel(18.0)
-    assert np.all(model.rhs(0.0, np.zeros(model.dim)) == 0.0)
+    assert np.all(ks_rhs(model, np.zeros(model.dim)) == 0.0)
 
 
 def test_make_model_validation():
@@ -83,7 +89,7 @@ def _sine_mode_rate(n):
     assert model.n == n
     amp = 1e-8
     u = amp * np.sin(np.pi * model.x / model.L)
-    return np.mean(to_grid(model.rhs(0.0, to_grid(u))) / u)
+    return np.mean(to_grid(ks_rhs(model, to_grid(u))) / u)
 
 
 def test_odd_sine_eigenvalue_second_order():
@@ -290,10 +296,10 @@ def _complex_rhs(model, state):
 
 
 def _public_fft_rhs(model, block):
-    """The periodic RHS in the model's real arithmetic, through np.fft.irfft
-    and np.fft.rfft with ``norm="forward"``: signed zeros included, the bits
-    of its kernels.  (The complex formula rounds alike but can give -0 where
-    the model gives +0.)"""
+    """The periodic quadratic term in the model's real arithmetic, through
+    np.fft.irfft and np.fft.rfft with ``norm="forward"``: signed zeros
+    included, the bits of its kernels.  (The complex formula rounds alike
+    but can give -0 where the model gives +0.)"""
     n, M, half_k = model.n_modes, model.grid_size, 0.5 * model.k
     spectrum = np.zeros(block.shape[:-1] + (M // 2 + 1,), dtype=complex)
     spectrum.real[..., : n + 1] = block[..., : n + 1]
@@ -302,7 +308,7 @@ def _public_fft_rhs(model, block):
     sq = np.fft.rfft(u * u, axis=-1, norm="forward")
     quadratic = np.concatenate([sq.imag[..., : n + 1] * half_k,
                                 sq.real[..., 1 : n + 1] * -half_k[..., 1:]], axis=-1)
-    return quadratic + model.stiff_linear_part * block
+    return quadratic
 
 
 LOCKSTEP = [21.7, 21.8, 21.9]
@@ -329,32 +335,25 @@ def _second_call_changes_nothing(call, block, results):
 
 @pytest.mark.parametrize("L", [22.0, 36.0, 60.3, 100.0, LOCKSTEP])
 def test_periodic_rhs_matches_the_complex_formula(L):
-    # the steppers' N is the packed quadratic term of the complex formula,
-    # and f is N + lam v, bit for bit, for a (rows, dim) block, a lockstep
-    # (G, rows, dim) block and a (dim,) state
+    # the model's N is the packed quadratic term of the complex formula, and
+    # lam v + N is its f, for a (rows, dim) block, a lockstep (G, rows, dim)
+    # block and a (dim,) state, each row with the bits of its own model
     model, lead, members = _members(L)
-    lam = model.stiff_linear_part
     rng = np.random.default_rng(int(10 * np.max(L)))
     for rows in (1, 13, 25):
         block = rng.standard_normal(lead + (rows, model.dim))
         before = block.copy()
         got = model.rhs(0.0, block)
-        nonlinear = model.rhs_batch(0.0, block, nonlinear=True)
         want = [np.reshape(w, block.shape) for w in zip(*(
             _complex_rhs(m, b) for m, b in zip(members, block.reshape(-1, rows, model.dim))))]
-        assert np.array_equal(got, want[0])
-        assert np.array_equal(nonlinear, want[1])
-        assert got.tobytes() == (nonlinear + lam * block).tobytes()
+        assert np.array_equal(ks_rhs(model, block), want[0])
+        assert np.array_equal(got, want[1])
         assert np.array_equal(block, before)
-        _second_call_changes_nothing(
-            lambda other: (model.rhs(0.0, other), model.rhs_batch(0.0, other, nonlinear=True)),
-            block, [got, nonlinear])
-        for m, f, n, states in zip(members, got.reshape(-1, rows, model.dim),
-                                   nonlinear.reshape(-1, rows, model.dim),
-                                   block.reshape(-1, rows, model.dim)):
-            for f_row, n_row, state in zip(f, n, states):
-                assert f_row.tobytes() == m.rhs(0.0, state).tobytes()
-                assert n_row.tobytes() == m.rhs_batch(0.0, state, nonlinear=True).tobytes()
+        _second_call_changes_nothing(lambda other: [model.rhs(0.0, other)], block, [got])
+        for m, n, states in zip(members, got.reshape(-1, rows, model.dim),
+                                block.reshape(-1, rows, model.dim)):
+            for n_row, state in zip(n, states):
+                assert n_row.tobytes() == m.rhs(0.0, state).tobytes()
 
 
 def _truncated_convolution(model, state):
@@ -381,7 +380,7 @@ def test_periodic_quadratic_term_is_the_alias_free_convolution(L, n, M):
     assert (model.n_modes, model.grid_size) == (n, M)
     rng = np.random.default_rng(n)
     for state in rng.standard_normal((3, model.dim)):
-        got = model.rhs(0.0, state, nonlinear=True)
+        got = model.rhs(0.0, state)
         want = _truncated_convolution(model, state)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -438,7 +437,7 @@ def test_etdrk4_step_matches_the_textbook_expression(L):
     f1, f2, f3 = stepper.f1, stepper.f2, stepper.f3
 
     def N(t, v):
-        return system.rhs(t, v, nonlinear=True)
+        return system.rhs(t, v)
 
     t, h = 1.5, DT
     rng = np.random.default_rng(int(10 * np.max(L)))
@@ -483,14 +482,11 @@ def test_odd_rhs_matches_the_stencil_formula(L):
         block = to_grid(u)
         before = block.copy()
         got = model.rhs(0.0, block)
-        nonlinear = model.rhs_batch(0.0, block, nonlinear=True)
         want = stencil_rhs(model, u)
-        assert np.max(np.abs(to_grid(got) - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(nonlinear, got - model.stiff_linear_part * block)
+        f = to_grid(ks_rhs(model, block))
+        assert np.max(np.abs(f - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(block, before)
-        _second_call_changes_nothing(
-            lambda other: (model.rhs(0.0, other), model.rhs_batch(0.0, other, nonlinear=True)),
-            block, [got, nonlinear])
+        _second_call_changes_nothing(lambda other: [model.rhs(0.0, other)], block, [got])
         for row, state in zip(got, block):
             assert row.tobytes() == model.rhs(0.0, state).tobytes()
 
@@ -512,7 +508,7 @@ def test_odd_step_matches_the_textbook_expression(L):
     rng = np.random.default_rng(int(10 * L))
     for rows in (1, 25):
         a = rng.standard_normal((rows, n))
-        assert np.array_equal(model.rhs(0.0, a), f(a))
+        assert np.array_equal(model.rhs(0.0, a), f(a) - lam * a)
         stepper.restart()
         n_prev = None
         for _ in range(3):

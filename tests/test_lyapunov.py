@@ -180,10 +180,9 @@ def test_scan_interval_refuses_a_non_finite_T_before_computing(monkeypatch, bad)
 
 
 def test_scan_interval_records_failures_as_nan():
-    # strongly contracting flow underflows the frame for large T; declared
-    # as a stiff diagonal part so that ETDRK4 integrates it exactly
-    rates = np.array([-400.0, -500.0])
-    system = DynamicalSystem(dim=2, rhs=lambda t, u: rates * u, stiff_linear_part=rates)
+    # strongly contracting flow underflows the frame for large T; its
+    # diagonal linear part is integrated exactly by ETDRK4
+    system = diagonal_linear_system([-400.0, -500.0])
     cfg = LyapunovConfig(m=2, tau=0.0, T=0.1, N=3, epsilon=1e-6, seed=0, dt=0.1)
     with pytest.warns(UserWarning):
         _, rows = scan_reorthonormalization_interval(system, cfg, [0.1, 10.0])
