@@ -21,7 +21,7 @@ from kslyap import (LyapunovConfig, SweepPlan, fit_dky_linear, fit_power_law,
 
 lyap = LyapunovConfig(m=12, tau=200.0, T=2.0, N=100, epsilon=1e-6, seed=0, dt=0.05)
 
-out = os.path.join(tempfile.mkdtemp(), "demo_sweep.csv")
+out = os.path.join(tempfile.mkdtemp(), "demo_sweep.jsonl")
 plan = SweepPlan(L_start=34.0, L_end=46.0, dL=1.0, bc="periodic",
                  lyap=lyap, output_path=out)
 

@@ -4,9 +4,11 @@
 config-file reader and the "requires" errors read it.  Every output file
 starts with ``#``-prefixed metadata lines echoing the full effective
 configuration, so re-running the same command reproduces the file byte for
-byte.  Options may also be supplied through ``--config FILE`` with flat
-``key = value`` lines; explicit flags override the file, and a key that no
-subcommand takes is refused.
+byte.  The spectra of ``lyap --out`` and ``sweep`` are record files
+(:func:`kslyap.sweep.write_records`), which ``fit`` and ``dky`` read; every
+other output is a CSV table.  Options may also be supplied through
+``--config FILE`` with flat ``key = value`` lines; explicit flags override
+the file, and a key that no subcommand takes is refused.
 """
 
 import argparse
@@ -20,8 +22,8 @@ from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_s
 from .errors import InsufficientData, IntegrationBlowUp, KslyapError
 from .ks import DEFAULT_K_MAX, PERIODIC, make_model
 from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
-from .sweep import (SweepPlan, _g17, header_row, read_records, record_to_row,
-                    run_sweep, spectrum_record, write_lines)
+from .sweep import (SweepPlan, point_settings, read_records, run_sweep,
+                    spectrum_record, write_lines, write_records)
 
 _SPECTRUM = asdict(LyapunovConfig())
 _DOMAIN = {"bc": PERIODIC, "L": None, "kmax": DEFAULT_K_MAX}
@@ -95,6 +97,10 @@ def _effective(args, options=None):
 def _lyap_config(cfg):
     return LyapunovConfig(**{key: type(default)(cfg[key])
                              for key, default in _SPECTRUM.items()})
+
+
+def _g17(x):
+    return f"{x:.17g}"
 
 
 def _meta_lines(cmd, cfg):
@@ -186,10 +192,11 @@ def cmd_lyap(args):
         print(f"lambda_{i:<3d} {lam: .6f}")
     print(f"D_KY      {rec.dky:.4f}   (j={rec.j})")
     if cfg["out"]:
-        lines = _meta_lines("lyap", cfg)
-        lines.append(header_row(lyap.m))
-        lines.append(record_to_row(rec))
-        write_lines(cfg["out"], lines)
+        # an oracle system has no domain and no NUMERICS entry: its record
+        # file is named by its name and the spectrum's settings alone
+        settings = ({"system": bc, **asdict(lyap)} if cfg["system"]
+                    else point_settings(bc, L, float(cfg["kmax"]), lyap))
+        write_records(cfg["out"], settings, [rec])
     return 0
 
 
@@ -216,7 +223,7 @@ def _stat_centers(records, halfwidth):
 
 
 def _read_results(cfg):
-    """The records of the sweep CSVs ``--results`` names; none is an error."""
+    """The records of the record files ``--results`` names; none is an error."""
     records = [rec for path in str(cfg["results"]).split(",")
                for rec in read_records(path)]
     if not records:

@@ -49,7 +49,7 @@ class InsufficientData(KslyapError):
 
 
 class FingerprintMismatch(KslyapError):
-    """Existing sweep output was produced with a different configuration."""
+    """A record file was produced with a different configuration."""
 
 
 #: The failures of a run: they flag a sweep's grid point ``failed`` and give

@@ -3,30 +3,31 @@
 Consecutive grid points of one model dimension run as one lockstep group
 (:func:`compute_group`, the system ``ks.make_model`` builds from their
 lengths): their burn-in is one batch and each reorthonormalization interval
-another, so a group costs far less than its points alone, and every row is
-bit-identical to its point's run alone.
+another, so a group costs far less than its points alone, and every
+record is bit-identical to its point's run alone.
 
-Results are durable: the rows of every completed group are appended to the
-output CSV immediately, the CSV's first line pins the configuration
+Results are durable: the records of every completed group are appended to
+the output immediately, the file's first line pins the configuration
 fingerprint, and re-running the same plan resumes from what is already on
 disk.  A grid point whose run fails (a blow-up, a non-finite flow-map
 column, a rank-deficient frame) is recorded with a ``failed`` flag instead
 of aborting the sweep.  A setting no grid point can run with (an L that is
 not positive, a grid below a model's floor, an m above a model's
 dimension) is refused before anything is written; any other error ends the
-sweep and leaves the rows written so far.
+sweep and leaves the records written so far.
 
 :func:`fingerprint` is the one name of a cached result's numbers: it hashes
 the settings a result depends on together with its boundary condition's
-entry in :data:`NUMERICS`.  Sweep CSVs and the acceptance-test caches
-are named by it.  A change that alters a boundary condition's numbers adds
-an entry to :data:`NUMERICS`; old sweeps are then refused on resume and old
-cache files are no longer found, so the change commits the regenerated
-files and removes the orphaned old ones.
+entry in :data:`NUMERICS`.  Sweep files, ``kslyap lyap --out`` files and the
+acceptance-test caches are named by it.  A change that alters a boundary
+condition's numbers adds an entry to :data:`NUMERICS`; old sweeps are then
+refused on resume and old cache files are no longer found, so the change
+commits the regenerated files and removes the orphaned old ones.
 
-CSV schema: a ``# fingerprint=<digest>`` line, a ``#`` line echoing the
-plan, then the header ``L,bc,seed,flag,dky,j,lambda_1,...,lambda_m``; reals
-are written with 17 significant digits so they round-trip exactly.
+Record file: a ``# fingerprint=<digest>`` line, a ``#`` line echoing the
+settings, then one :class:`SpectrumRecord` per line as a JSON object whose
+floats (``NaN`` for a failed point's) are in shortest round-trip form, so
+:func:`read_records` reads it back exactly.
 """
 
 import contextlib
@@ -74,7 +75,7 @@ FLAG_OK = "ok"
 
 @dataclass
 class SpectrumRecord:
-    """One sweep row: the spectrum and derived dimension at a single (bc, L)."""
+    """One spectrum and its D_KY at a single (bc, L): a line of a record file."""
 
     L: float
     bc: str
@@ -97,7 +98,7 @@ class SweepPlan:
     dL: float = 0.1
     k_max: float = DEFAULT_K_MAX
     lyap: LyapunovConfig = field(default_factory=LyapunovConfig)
-    output_path: str = "sweep.csv"
+    output_path: str = "sweep.jsonl"
     workers: int = 1
 
     def __post_init__(self):
@@ -119,31 +120,26 @@ class SweepPlan:
         return int.from_bytes(digest[:8], "little")
 
     def _settings(self):
-        """Every setting a row's numbers depend on, apart from its L."""
-        return {**spectrum_settings(self.bc, self.k_max, self.lyap),
-                "dL": self.dL, "base_seed": self.lyap.seed}
+        """Every setting a record's numbers depend on, apart from its L."""
+        settings = {"bc": self.bc, "k_max": self.k_max, **asdict(self.lyap), "dL": self.dL}
+        settings["base_seed"] = settings.pop("seed")
+        return settings
 
     def fingerprint(self):
         return fingerprint(self._settings())
 
-    def echo(self):
-        return {"L_start": self.L_start, "L_end": self.L_end,
-                **_payload(self._settings())}
 
-
-def spectrum_settings(bc, k_max, lyap):
-    """The settings a spectrum's numbers depend on, apart from L and how its
-    seed is chosen; callers add those.  Every field of ``lyap`` but its seed
-    is one, so a new field enters every fingerprint."""
-    settings = asdict(lyap)
-    del settings["seed"]
-    return {"bc": bc, "k_max": k_max, **settings}
+def point_settings(bc, L, k_max, lyap):
+    """The settings one spectrum's numbers depend on, which name its record
+    file (``lyap --out``, an acceptance cache).  Every field of ``lyap`` is
+    one, here and in a sweep's, so a new field enters every fingerprint."""
+    return {"bc": bc, "k_max": k_max, **asdict(lyap), "L": L}
 
 
 def _payload(settings):
-    """``settings`` (which names its ``bc``) merged with that boundary
-    condition's :data:`NUMERICS` entry."""
-    return {**settings, **NUMERICS[settings["bc"]]}
+    """``settings`` merged with the :data:`NUMERICS` entry of their ``bc``;
+    settings without a ``bc`` (an oracle system's) merge none."""
+    return {**settings, **(NUMERICS[settings["bc"]] if "bc" in settings else {})}
 
 
 def fingerprint(settings):
@@ -152,63 +148,70 @@ def fingerprint(settings):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _g17(x):
-    return f"{x:.17g}"
+FINGERPRINT_LINE = "# fingerprint="
+
+#: The keys of a record line, in the order they are written.
+RECORD_KEYS = ("L", "bc", "seed", "flags", "dky", "j", "exponents")
 
 
-def record_to_row(rec):
-    cells = [_g17(rec.L), rec.bc, str(rec.seed), rec.flag,
-             _g17(rec.dky), str(rec.j)]
-    cells += [_g17(v) for v in rec.exponents]
-    return ",".join(cells)
+def record_line(rec):
+    """``rec`` as one JSON line, which :func:`read_records` reads back exactly."""
+    return json.dumps({"L": rec.L, "bc": rec.bc, "seed": rec.seed, "flags": sorted(rec.flags),
+                       "dky": rec.dky, "j": rec.j, "exponents": rec.exponents.tolist()})
 
 
-def header_row(m):
-    return "L,bc,seed,flag,dky,j," + ",".join(f"lambda_{i}" for i in range(1, m + 1))
+def write_records(path, settings, records, **extra):
+    """Write a record file through :func:`write_lines`: the fingerprint of
+    ``settings``, a line echoing them, their :data:`NUMERICS` entry and
+    ``extra`` (which is not fingerprinted), then one line per record."""
+    echo = " ".join(f"{k}={v}" for k, v in sorted({**extra, **_payload(settings)}.items()))
+    write_lines(path, [FINGERPRINT_LINE + fingerprint(settings), f"# {echo}",
+                       *map(record_line, records)])
 
 
-def row_to_record(line):
-    cells = line.strip().split(",")
-    flags = frozenset() if cells[3] == FLAG_OK else frozenset(cells[3].split("|"))
-    return SpectrumRecord(
-        L=float(cells[0]), bc=cells[1], seed=int(cells[2]), flags=flags,
-        dky=float(cells[4]), j=int(cells[5]),
-        exponents=np.array([float(v) for v in cells[6:]]))
+def check_fingerprint(path, settings):
+    """Refuse, with :class:`FingerprintMismatch`, a record file whose first
+    line is not ``# fingerprint=`` and the fingerprint of ``settings``."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != FINGERPRINT_LINE + fingerprint(settings):
+            raise FingerprintMismatch(f"{path} was produced with another configuration "
+                                      f"(or has no '{FINGERPRINT_LINE}' first line)")
 
 
 def read_records(path):
-    """Load a sweep CSV, re-deriving each row's D_KY from its exponents.
+    """Load a record file, re-deriving each record's D_KY from its exponents.
 
-    A row that does not hold together is refused with a ``ValueError``
-    naming the file and line: a row before the header, a final line without
-    its newline (an interrupted write; resume cuts such a line off before
-    reading), a row whose cell count differs from the header's, or a row
-    (not failed) whose stored D_KY is more than 1e-9 from its exponents'."""
+    A ``ValueError`` naming the file and line refuses a final line without
+    its newline (an interrupted write; resume cuts it off before reading), a
+    line that is not a JSON object of exactly the keys :data:`RECORD_KEYS`,
+    a value of the wrong type, and a record (not failed) whose D_KY is more
+    than 1e-9 off its exponents'."""
     records = []
-    n_cells = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.count(",") + 1
-            if line.startswith("L,"):
-                n_cells = cells
+            if not raw.strip() or raw.startswith("#"):
                 continue
             where = f"{path}:{lineno}"
-            if n_cells is None:
-                raise ValueError(f"{where}: row before the header line 'L,bc,...'")
             if not raw.endswith("\n"):
-                raise ValueError(f"{where}: last row has no line end; "
+                raise ValueError(f"{where}: last line has no line end; "
                                  "it was cut short by an interrupted write")
-            if cells != n_cells:
-                raise ValueError(f"{where}: row has {cells} cells, the header {n_cells}")
-            rec = row_to_record(line)
-            if "failed" not in rec.flags:
-                ky = analysis.kaplan_yorke(rec.exponents)
-                if abs(ky.dimension - rec.dky) > 1e-9:
-                    raise ValueError(f"{where}: stored D_KY {rec.dky!r} inconsistent "
-                                     f"with exponents at L={rec.L:g}")
+            try:
+                fields = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not a JSON record ({exc})") from None
+            if not isinstance(fields, dict) or set(fields) != set(RECORD_KEYS):
+                raise ValueError(f"{where}: not a record of exactly the keys "
+                                 f"{', '.join(RECORD_KEYS)}")
+            try:
+                rec = SpectrumRecord(**{**fields, "flags": frozenset(fields["flags"]),
+                                        "exponents": np.array(fields["exponents"], dtype=float)})
+                consistent = ("failed" in rec.flags or abs(
+                    analysis.kaplan_yorke(rec.exponents).dimension - rec.dky) <= 1e-9)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: not a valid record ({exc})") from None
+            if not consistent:
+                raise ValueError(f"{where}: stored D_KY {rec.dky!r} inconsistent "
+                                 f"with exponents at L={rec.L!r}")
             records.append(rec)
     return records
 
@@ -258,34 +261,25 @@ def compute_group(bc, Ls, k_max, lyap, seeds):
             for L, seed, exponents in zip(Ls, seeds, result.exponents)]
 
 
-FINGERPRINT_LINE = "# fingerprint="
-
-
 def _load_existing(plan, path):
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith(FINGERPRINT_LINE):
-        raise FingerprintMismatch(f"{path} has no '{FINGERPRINT_LINE}' first line")
-    if first[len(FINGERPRINT_LINE):].strip() != plan.fingerprint():
-        raise FingerprintMismatch(
-            "existing output was produced with a different configuration")
-    _cut_torn_row(path)
-    # a row's seed hashes its grid index, so rows of another grid (another
-    # L_start, which the fingerprint leaves out) must not be mixed in either
+    check_fingerprint(path, plan._settings())
+    _cut_torn_line(path)
+    # a record's seed hashes its grid index, so records of another grid
+    # (another L_start, which the fingerprint leaves out) must not be mixed in
     index = {float(L): idx for idx, L in enumerate(plan.grid())}
     done = {}
     for rec in read_records(path):
         idx = index.get(rec.L)
         if idx is None or rec.seed != plan.point_seed(idx):
             raise FingerprintMismatch(
-                f"existing row at L={rec.L:g} is not a point of this plan's grid")
+                f"existing record at L={rec.L:g} is not a point of this plan's grid")
         done[rec.L] = rec
     return done
 
 
-def _cut_torn_row(path):
-    """Drop a final row without its newline: every row is written with one, so
-    such a row was cut short by an interrupted write and its point is not done."""
+def _cut_torn_line(path):
+    """Drop a final line without its newline: an interrupted write cut it
+    short, so its point is not done."""
     with open(path, "rb+") as fh:
         data = fh.read()
         if data and not data.endswith(b"\n"):
@@ -293,10 +287,8 @@ def _cut_torn_row(path):
 
 
 def _write_sorted(plan, path, records):
-    echo = " ".join(f"{k}={v}" for k, v in sorted(plan.echo().items()))
-    rows = [record_to_row(records[L]) for L in sorted(records)]
-    write_lines(path, [FINGERPRINT_LINE + plan.fingerprint(), f"# {echo}",
-                       header_row(plan.lyap.m), *rows])
+    write_records(path, plan._settings(), [records[L] for L in sorted(records)],
+                  L_start=plan.L_start, L_end=plan.L_end)
 
 
 def write_lines(path, lines):
@@ -318,13 +310,13 @@ def run_sweep(plan, log=None):
     """Run (or resume) the sweep; returns the records sorted by L.
 
     The points still to do are computed in lockstep groups
-    (:func:`_groups`), and each group's rows are appended to the output as
-    it completes (a row cut short by an interrupted write is recomputed on
-    resume); on normal completion the file is rewritten sorted by L, so the
-    on-disk result is independent of worker count, grouping and completion
-    order.  Every point's model is built, and m checked against its
-    dimension, before the output is first written.  An error other than a
-    run failure propagates and leaves the rows already written on disk.
+    (:func:`_groups`), and each group's records are appended to the output
+    as it completes (a line cut short by an interrupted write is recomputed
+    on resume); on normal completion the file is rewritten sorted by L, so
+    the on-disk result is independent of worker count, grouping and
+    completion order.  Every point's model is built, and m checked against
+    its dimension, before the output is first written.  An error other than
+    a run failure propagates and leaves the records already written on disk.
     """
     path = plan.output_path
     done = _load_existing(plan, path) if os.path.exists(path) else {}
@@ -336,7 +328,7 @@ def run_sweep(plan, log=None):
     if groups:
         with open(path, "a") as sink:
             for group in _compute_many(plan, groups):
-                sink.write("".join(record_to_row(rec) + "\n" for rec in group))
+                sink.write("".join(record_line(rec) + "\n" for rec in group))
                 sink.flush()
                 for rec in group:
                     done[rec.L] = rec

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import kslyap
-from kslyap import IntegrationBlowUp, cli, kaplan_yorke
+from kslyap import IntegrationBlowUp, LyapunovConfig, cli, kaplan_yorke
 from kslyap.cli import main
-from kslyap.sweep import read_records
+from kslyap.sweep import (SpectrumRecord, check_fingerprint, fingerprint, point_settings,
+                          read_records, record_line, write_records)
 
 
 def run(argv, capsys):
@@ -142,67 +144,72 @@ def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
 
 
 def test_lyap_oracle_diaglin(tmp_path, capsys):
-    out = tmp_path / "spec.csv"
+    out = tmp_path / "spec.jsonl"
     code, text, _ = run(["lyap", "--system", "diaglin", "--tau", "0",
                          "--T", "1", "--N", "50", "--out", str(out)], capsys)
     assert code == 0
     values = [float(ln.split()[1]) for ln in text.splitlines()
               if ln.startswith("lambda_")]
     assert np.allclose(values, [0.3, -0.1, -2.0], atol=1e-3)
-    data = [ln for ln in out.read_text().split("\n") if ln and not ln.startswith("#")]
-    assert data[0] == "L,bc,seed,flag,dky,j,lambda_1,lambda_2,lambda_3"
-    cells = data[1].split(",")
-    assert cells[1] == "diaglin"
-    lam = np.array([float(v) for v in cells[6:]])
-    assert abs(float(cells[4]) - kaplan_yorke(lam).dimension) < 1e-12
+    # the oracle's settings are its name and the spectrum's, which its
+    # fingerprint line names with no NUMERICS entry merged
+    settings = {"system": "diaglin", "m": 3, "tau": 0.0, "T": 1.0, "N": 50,
+                "epsilon": 1e-6, "seed": 0, "dt": 0.01}
+    check_fingerprint(out, settings)
+    [rec] = read_records(out)
+    assert (rec.bc, rec.seed, len(rec.exponents)) == ("diaglin", 0, 3)
+    assert np.isnan(rec.L)
+    assert np.allclose(rec.exponents, values, atol=5e-7)
+    assert abs(rec.dky - kaplan_yorke(rec.exponents).dimension) < 1e-12
 
 
 def _lyap_file(path):
-    """(settings echoed on the metadata line, the data row's cells)."""
-    lines = path.read_text().split("\n")
-    echo = dict(pair.split("=", 1) for pair in lines[1][2:].split())
-    return echo, lines[3].split(",")
+    """(settings echoed on the metadata line, the one record); an echoed
+    value may hold spaces (the NUMERICS entry's)."""
+    echo = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", path.read_text().split("\n")[1][2:]))
+    [rec] = read_records(path)
+    return echo, rec
 
 
 def test_lyap_oracle_dt_flag_is_used_and_echoed(tmp_path, capsys):
     argv = ["lyap", "--system", "lorenz", "--tau", "1", "--T", "0.5", "--N", "4"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--dt", "0.001", "--out", str(b)]) == 0
     capsys.readouterr()
-    echo_a, row_a = _lyap_file(a)
-    echo_b, row_b = _lyap_file(b)
+    echo_a, rec_a = _lyap_file(a)
+    echo_b, rec_b = _lyap_file(b)
     assert (echo_a["dt"], echo_a["m"]) == ("0.005", "3")  # the oracle's defaults
     assert (echo_b["dt"], echo_b["m"]) == ("0.001", "3")
-    assert row_a[6:] != row_b[6:]
+    assert list(rec_a.exponents) != list(rec_b.exponents)
 
 
 @pytest.mark.parametrize("system", ["lorenz", "diaglin"])
 def test_lyap_oracle_echo_names_only_settings_that_apply(tmp_path, capsys, system):
-    out = tmp_path / "a.csv"
+    out = tmp_path / "a.jsonl"
     assert main(["lyap", "--system", system, "--tau", "1", "--T", "0.5", "--N", "2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    echo, cells = _lyap_file(out)
-    assert echo["system"] == system and cells[1] == system
+    echo, rec = _lyap_file(out)
+    assert echo["system"] == system and rec.bc == system
     assert not {"bc", "L", "kmax"} & set(echo)
     assert {"m", "tau", "T", "N", "epsilon", "seed", "dt"} <= set(echo)
 
 
 def test_lyap_ks_echo_keeps_the_domain(tmp_path, capsys):
-    out = tmp_path / "ks.csv"
+    out = tmp_path / "ks.jsonl"
     assert main(["lyap", "--L", "22", "--m", "2", "--tau", "0", "--T", "0.5", "--N", "1",
                  "--out", str(out)]) == 0
     capsys.readouterr()
     echo, _ = _lyap_file(out)
-    assert (echo["L"], echo["bc"], echo["kmax"], echo["system"]) == (
-        "22", "periodic", "9.0", "None")
+    assert (echo["L"], echo["bc"], echo["k_max"]) == ("22.0", "periodic", "9.0")
+    assert "system" not in echo
 
 
 def test_lyap_config_file_dt_overrides_the_oracle_step(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dt = 0.001\n")
-    out = tmp_path / "a.csv"
+    out = tmp_path / "a.jsonl"
     assert main(["lyap", "--system", "lorenz", "--config", str(cfgfile), "--tau", "1",
                  "--T", "0.5", "--N", "2", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -211,12 +218,12 @@ def test_lyap_config_file_dt_overrides_the_oracle_step(tmp_path, capsys):
 
 def test_lyap_row_flags_match_a_sweep_row(tmp_path, capsys):
     # two exponents summing to 0.2 > 0: D_KY = j = m, which a sweep flags
-    out = tmp_path / "m2.csv"
+    out = tmp_path / "m2.jsonl"
     code, _, _ = run(["lyap", "--system", "diaglin", "--m", "2", "--tau", "0",
                       "--T", "1", "--N", "10", "--out", str(out)], capsys)
     assert code == 0
-    _, cells = _lyap_file(out)
-    assert cells[3] == "unsaturated" and cells[5] == "2"
+    _, rec = _lyap_file(out)
+    assert rec.flag == "unsaturated" and rec.j == 2
 
 
 def test_lyap_oracle_lorenz_scan_T(tmp_path, capsys):
@@ -295,14 +302,14 @@ def test_lyap_scan_T_stops_on_a_configuration_error(capsys):
 
 def test_sweep_bad_range_exits_nonzero(tmp_path, capsys):
     code, _, err = run(["sweep", "--L-start", "12", "--L-end", "10",
-                        "--out", str(tmp_path / "s.csv")], capsys)
+                        "--out", str(tmp_path / "s.jsonl")], capsys)
     assert code == 1 and "error" in err
 
 
 @pytest.mark.parametrize("bc, L, m", [("periodic", "22", "80"), ("odd", "1", "24")])
 def test_sweep_configuration_error_is_an_error_not_a_failed_row(tmp_path, capsys,
                                                                 bc, L, m):
-    out = tmp_path / "s.csv"
+    out = tmp_path / "s.jsonl"
     settings = ["--bc", bc, "--m", m, "--tau", "1", "--T", "0.5", "--N", "2"]
     sweep = ["sweep", "--L-start", L, "--L-end", L, "--out", str(out)] + settings
     code, _, err = run(sweep, capsys)
@@ -315,7 +322,7 @@ def test_sweep_configuration_error_is_an_error_not_a_failed_row(tmp_path, capsys
 
 def test_sweep_refuses_an_unknown_bc_before_writing_a_file(tmp_path, capsys):
     code, out, err = run(["sweep", "--bc", "rigid", "--L-start", "22", "--L-end", "22",
-                          "--out", str(tmp_path / "s.csv")], capsys)
+                          "--out", str(tmp_path / "s.jsonl")], capsys)
     assert (code, out, err) == (1, "", "error: bc must be 'periodic' or 'odd'\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -332,7 +339,7 @@ def test_sweep_refuses_a_bad_setting_before_writing_a_file(tmp_path, capsys, bad
     # an L that is not positive, a k_max below the periodic floor, an m above
     # the dimension (17 at L=5), a grid below the odd model's floor (one
     # interior point at L=0.4): no file is left to refuse the corrected run
-    out = tmp_path / "s.csv"
+    out = tmp_path / "s.jsonl"
     settings = ["--tau", "1", "--T", "0.5", "--N", "2", "--out", str(out)]
     code, _, err = run(["sweep", "--m", "4"] + bad + settings, capsys)
     assert code == 1 and err.startswith("error: ")
@@ -342,7 +349,7 @@ def test_sweep_refuses_a_bad_setting_before_writing_a_file(tmp_path, capsys, bad
 
 
 def test_sweep_and_dky_round_trip(tmp_path, capsys):
-    out = tmp_path / "s.csv"
+    out = tmp_path / "s.jsonl"
     # m=4: every row's D_KY saturates, so all three enter the dky fit
     argv = ["sweep", "--L-start", "10", "--L-end", "12", "--dL", "1",
             "--m", "4", "--tau", "5", "--T", "0.5", "--N", "5",
@@ -365,23 +372,21 @@ def test_sweep_and_dky_round_trip(tmp_path, capsys):
 
 
 def _write_synthetic_sweep(path, m=6, Ls=None, a=0.093, b=0.367, c=-0.94, p=1.0):
-    """Sweep CSV whose exponents follow the planted power law exactly."""
-    from kslyap.sweep import SpectrumRecord, header_row, record_to_row
-    rows = ["# synthetic", header_row(m)]
+    """Record file whose exponents follow the planted power law exactly."""
+    records = []
     if Ls is None:
         Ls = [round(55 + 10 * j + 0.1 * k, 10) for j in range(5) for k in range(-10, 11)]
     for L in Ls:
         lam = np.array([a + (b + c * i) / L**p for i in range(1, m + 1)])
         lam = np.sort(lam)[::-1]
         ky = kaplan_yorke(lam)
-        rec = SpectrumRecord(L=float(L), bc="periodic", seed=0, exponents=lam,
-                             dky=ky.dimension, j=ky.j)
-        rows.append(record_to_row(rec))
-    path.write_text("\n".join(rows) + "\n")
+        records.append(SpectrumRecord(L=float(L), bc="periodic", seed=0, exponents=lam,
+                                      dky=ky.dimension, j=ky.j))
+    write_records(str(path), {"synthetic": "power law"}, records)
 
 
 def test_fit_recovers_planted_power_law(tmp_path, capsys):
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results)
     out = tmp_path / "fit"
     code, text, _ = run(["fit", "--results", str(results),
@@ -403,7 +408,7 @@ def test_fit_recovers_planted_power_law(tmp_path, capsys):
 
 
 def test_fit_scans_no_p_past_the_grid_end(tmp_path, capsys):
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results)
     code, _, _ = run(["fit", "--results", str(results), "--p-grid", "0.1:0.35:1.0",
                       "--out", str(tmp_path / "fit")], capsys)
@@ -415,7 +420,7 @@ def test_fit_scans_no_p_past_the_grid_end(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid", ["0:0:2", "2:0.02:1", "1:2", "1:2:3:4"])
 def test_fit_refuses_a_grid_that_does_not_step_forward(tmp_path, capsys, grid):
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results)
     code, _, err = run(["fit", "--results", str(results), "--p-grid", grid,
                         "--out", str(tmp_path / "fit")], capsys)
@@ -428,17 +433,15 @@ def test_fit_refuses_a_grid_that_does_not_step_forward(tmp_path, capsys, grid):
 
 
 def _failed_rows(Ls, m=6):
-    from kslyap.sweep import SpectrumRecord, record_to_row
-    return [record_to_row(SpectrumRecord(
+    return [record_line(SpectrumRecord(
         L=L, bc="periodic", seed=0, exponents=np.full(m, np.nan), dky=np.nan, j=0,
         flags=frozenset({"failed"}))) + "\n" for L in Ls]
 
 
 @pytest.mark.parametrize("command", ["fit", "dky"])
 def test_results_without_a_data_row_are_refused_by_name(tmp_path, capsys, command):
-    from kslyap.sweep import header_row
-    results = tmp_path / "empty.csv"
-    results.write_text(f"# fingerprint=0\n{header_row(4)}\n")
+    results = tmp_path / "empty.jsonl"
+    write_records(str(results), {"synthetic": "no record"}, [])
     code, _, err = run([command, "--results", str(results),
                         "--out", str(tmp_path / "out")], capsys)
     assert (code, err) == (1, f"error: no data rows in {results}\n")
@@ -455,25 +458,27 @@ def test_every_output_file_is_written_through_one_helper(tmp_path, monkeypatch, 
         write_lines(path, lines)
 
     from kslyap.sweep import write_lines
-    monkeypatch.setattr(cli, "write_lines", spy)
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results)
+    # lyap --out writes through sweep.write_records, which calls sweep's name
+    monkeypatch.setattr(cli, "write_lines", spy)
+    monkeypatch.setattr(kslyap.sweep, "write_lines", spy)
     for argv, out in [
             (["simulate", "--L", "22", "--t-end", "0"], "sim.csv"),
             (["lyap", "--system", "diaglin", "--tau", "0", "--T", "1", "--N", "2"],
-             "lyap.csv"),
+             "lyap.jsonl"),
             (["lyap", "--system", "diaglin", "--tau", "0", "--N", "2", "--scan-T", "1"],
              "scan.csv"),
             (["fit", "--results", str(results)], "fit"),
             (["dky", "--results", str(results)], "dky.csv")]:
         assert main(argv + ["--out", str(tmp_path / out)]) == 0
-    assert written == ["sim.csv", "lyap.csv", "scan.csv", "fit_stats.csv",
+    assert written == ["sim.csv", "lyap.jsonl", "scan.csv", "fit_stats.csv",
                        "fit_pscan.csv", "fit_fit.csv", "dky.csv"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["synth.csv"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["synth.jsonl"])
 
 
 def test_fit_leaves_failed_rows_out_of_the_windows(tmp_path, capsys):
-    clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
+    clean, mixed = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
     _write_synthetic_sweep(clean)
     mixed.write_text(clean.read_text() + "".join(_failed_rows([65.05, 85.0, 95.1])))
     stats = {}
@@ -488,21 +493,21 @@ def test_fit_leaves_failed_rows_out_of_the_windows(tmp_path, capsys):
 
 
 def _write_dky_rows(path, rows):
-    """Sweep CSV of (L, j, f) rows with D_KY = j + f, m=4; f=None makes the
+    """Record file of (L, j, f) rows with D_KY = j + f, m=4; f=None makes the
     row unsaturated (all four exponents positive, D_KY clipped to 4)."""
-    from kslyap.sweep import header_row, record_to_row, spectrum_record
-    lines = ["# synthetic", header_row(4)]
+    from kslyap.sweep import spectrum_record
+    records = []
     for L, j, f in rows:
         if f is None:
             lam = np.array([0.04, 0.03, 0.02, 0.01])
         else:
             lam = np.array([0.01] * j + [-0.01 * j / f] + [-5.0] * (3 - j))
-        lines.append(record_to_row(spectrum_record(L, "periodic", 0, lam)))
-    path.write_text("\n".join(lines) + "\n")
+        records.append(spectrum_record(L, "periodic", 0, lam))
+    write_records(str(path), {"synthetic": "dky rows"}, records)
 
 
 def test_dky_leaves_unsaturated_rows_out_of_the_fit(tmp_path, capsys):
-    results, out = tmp_path / "synth.csv", tmp_path / "d.csv"
+    results, out = tmp_path / "synth.jsonl", tmp_path / "d.csv"
     _write_dky_rows(results, [(80.0, 2, 0.5), (85.0, 0, None), (90.0, 3, 0.75),
                               (95.0, 0, None)])
     code, text, _ = run(["dky", "--results", str(results), "--Lmin-fit", "80",
@@ -518,7 +523,7 @@ def test_dky_leaves_unsaturated_rows_out_of_the_fit(tmp_path, capsys):
 
 
 def test_dky_refuses_a_fit_of_fewer_than_two_saturated_rows(tmp_path, capsys):
-    results, out = tmp_path / "synth.csv", tmp_path / "d.csv"
+    results, out = tmp_path / "synth.jsonl", tmp_path / "d.csv"
     _write_dky_rows(results, [(80.0, 2, 0.5), (85.0, 0, None), (90.0, 0, None)])
     code, _, err = run(["dky", "--results", str(results), "--Lmin-fit", "80",
                         "--out", str(out)], capsys)
@@ -528,18 +533,16 @@ def test_dky_refuses_a_fit_of_fewer_than_two_saturated_rows(tmp_path, capsys):
 
 
 def test_dky_synthetic_slope(tmp_path, capsys):
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     # dky = j + f by construction: j positive exponents then a sharp drop
-    from kslyap.sweep import SpectrumRecord, header_row, record_to_row
-    rows = ["# synthetic", header_row(4)]
+    records = []
     for L, j, f in ((80.0, 2, 0.5), (90.0, 3, 0.75)):
         lam = np.array([0.01] * j + [-0.01 * j / f] + [-5.0] * (3 - j))
         ky = kaplan_yorke(lam)
         assert ky.dimension == pytest.approx(j + f)
-        rec = SpectrumRecord(L=L, bc="periodic", seed=0, exponents=lam,
-                             dky=ky.dimension, j=ky.j)
-        rows.append(record_to_row(rec))
-    results.write_text("\n".join(rows) + "\n")
+        records.append(SpectrumRecord(L=L, bc="periodic", seed=0, exponents=lam,
+                                      dky=ky.dimension, j=ky.j))
+    write_records(str(results), {"synthetic": "dky slope"}, records)
     out = tmp_path / "d.csv"
     code, text, _ = run(["dky", "--results", str(results), "--Lmin-fit", "80",
                          "--out", str(out)], capsys)
@@ -550,21 +553,59 @@ def test_dky_synthetic_slope(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tail", [
-    lambda cells: ",".join(cells[:1] + [cells[1][:3]]),        # inside bc
-    lambda cells: ",".join(cells[:3] + [cells[3][:1]]),        # inside flag
-    lambda cells: ",".join(cells[:-1] + [cells[-1][:4]]),      # inside the last exponent
-    lambda cells: ",".join(cells[:-1]) + "\n",                 # a whole cell short
+    lambda line: line[:line.index('"bc": ') + 9],              # inside bc
+    lambda line: line[:line.index('"flags": ') + 10],          # inside flags
+    lambda line: line[:-4],                                    # inside the last exponent
+    lambda line: line[:line.index(', "exponents"')] + "}\n",   # a whole key short
 ], ids=["bc", "flag", "exponent", "short"])
 def test_dky_refuses_a_torn_last_row(tmp_path, capsys, tail):
-    results = tmp_path / "synth.csv"
+    results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results, Ls=[80.0, 90.0, 100.0])
     head, last = results.read_text().rstrip("\n").rsplit("\n", 1)
-    results.write_text(head + "\n" + tail(last.split(",")))
+    results.write_text(head + "\n" + tail(last))
     code, _, err = run(["dky", "--results", str(results), "--Lmin-fit", "80",
                         "--out", str(tmp_path / "d.csv")], capsys)
     assert code == 1
     assert err.startswith("error: ") and f"{results}:5:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [
+    "80.0,periodic,0,ok,2.5,2",                         # a CSV row
+    '{"L": 80.0, "bc": "periodic"}',                    # keys missing
+    "extra",                                            # a key too many
+    "flags",                                            # flags not a list
+])
+def test_dky_refuses_a_line_that_is_no_record(tmp_path, capsys, line):
+    results = tmp_path / "synth.jsonl"
+    _write_synthetic_sweep(results, Ls=[80.0, 90.0])
+    if line == "extra":
+        line = _failed_rows([100.0])[0][:-2] + ', "wall_time": 1.0}'
+    elif line == "flags":
+        line = _failed_rows([100.0])[0][:-1].replace('"flags": ["failed"]', '"flags": 3')
+    results.write_text(results.read_text() + line + "\n")
+    code, _, err = run(["dky", "--results", str(results), "--Lmin-fit", "80",
+                        "--out", str(tmp_path / "d.csv")], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {results}:5: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_lyap_out_is_the_record_file_of_its_settings(tmp_path, capsys):
+    # the file an acceptance cache holds for the same job: one writer, and
+    # the settings composed by one function
+    out = tmp_path / "l22.jsonl"
+    assert main(["lyap", "--L", "22", "--m", "3", "--tau", "1", "--T", "0.5", "--N", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    lyap = LyapunovConfig(m=3, tau=1.0, T=0.5, N=2)
+    settings = point_settings("periodic", 22.0, 9.0, lyap)
+    result = kslyap.compute_spectrum(kslyap.make_model("periodic", 22.0, 9.0), lyap)
+    expected = tmp_path / "expected.jsonl"
+    write_records(str(expected), settings,
+                  [kslyap.sweep.spectrum_record(22.0, "periodic", 0, result.exponents)])
+    assert out.read_bytes() == expected.read_bytes()
+    assert out.read_text().startswith(f"# fingerprint={fingerprint(settings)}\n")
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -596,12 +637,12 @@ def test_one_config_file_serves_lyap_and_sweep(tmp_path, capsys):
     cfgfile = tmp_path / "conf.txt"
     cfgfile.write_text("L = 22\nL-start = 22\nL_end = 22\nm = 2\ntau = 0\n"
                        "T = 0.5\nN = 1\n")
-    lyap, sweep = tmp_path / "l.csv", tmp_path / "s.csv"
+    lyap, sweep = tmp_path / "l.jsonl", tmp_path / "s.jsonl"
     assert main(["lyap", "--config", str(cfgfile), "--out", str(lyap)]) == 0
     assert main(["sweep", "--config", str(cfgfile), "--out", str(sweep)]) == 0
     capsys.readouterr()
     # each run takes the keys it has and leaves the other's
-    assert len(_lyap_file(lyap)[1][6:]) == 2
+    assert len(_lyap_file(lyap)[1].exponents) == 2
     [rec] = read_records(sweep)
     assert (rec.L, len(rec.exponents)) == (22.0, 2)
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import pytest
 from kslyap import (FingerprintMismatch, LyapunovConfig,
                     SpectrumRecord, SweepPlan, compute_point, kaplan_yorke,
                     lyapunov, read_records, run_sweep, sweep)
-from kslyap.sweep import NUMERICS, _groups, header_row, record_to_row, row_to_record
+from kslyap.sweep import NUMERICS, _groups, record_line
 
 
-def tiny_plan(tmp_path, name="out.csv", **kwargs):
+def tiny_plan(tmp_path, name="out.jsonl", **kwargs):
     lyap = LyapunovConfig(m=2, tau=5.0, T=0.5, N=5, epsilon=1e-6, seed=42, dt=0.05)
     defaults = dict(L_start=10.0, L_end=12.0, dL=1.0, bc="periodic",
                     lyap=lyap, output_path=str(tmp_path / name), workers=1)
@@ -48,7 +49,7 @@ def test_run_sweep_produces_one_record_per_point(tmp_path):
     first, echo = Path(plan.output_path).read_text().splitlines()[:2]
     assert first == f"# fingerprint={plan.fingerprint()}"
     assert echo.startswith("# L_end=12.0 L_start=10.0 ")
-    assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.jsonl"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -72,9 +73,9 @@ def test_resume_computes_only_missing_points(tmp_path):
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
     reference = Path(plan.output_path).read_text()
-    # drop the middle row to simulate an interrupted sweep
+    # drop the middle record to simulate an interrupted sweep
     lines = reference.strip().split("\n")
-    kept = [ln for ln in lines if not ln.startswith("11,")]
+    kept = [ln for ln in lines if not ln.startswith('{"L": 11.0,')]
     assert len(kept) == len(lines) - 1
     with open(plan.output_path, "w") as fh:
         fh.write("\n".join(kept) + "\n")
@@ -85,15 +86,15 @@ def test_resume_computes_only_missing_points(tmp_path):
 
 @pytest.mark.parametrize("cell", [2, 7])
 def test_resume_recomputes_a_torn_last_row(tmp_path, cell):
-    # a write interrupted inside the last row's seed (cell 2) or inside its
-    # last exponent (cell 7, lambda_2 of m=2)
+    # a write interrupted inside the last record's seed (cell 2, its third
+    # key) or inside its last exponent (cell 7, lambda_2 of m=2)
     plan = tiny_plan(tmp_path)
     run_sweep(plan)
     with open(plan.output_path, "rb") as fh:
         reference = fh.read()
     head, last = reference.rstrip(b"\n").rsplit(b"\n", 1)
-    cells = last.split(b",")
-    torn = b",".join(cells[:cell] + [cells[cell][:3]])
+    start = last.index(b'"seed": ') + 8 if cell == 2 else last.rindex(b", ") + 2
+    torn = last[:start + 3]
     with open(plan.output_path, "wb") as fh:
         fh.write(head + b"\n" + torn)
     records = run_sweep(plan)
@@ -149,20 +150,20 @@ def test_resume_refuses_rows_of_another_grid(tmp_path, L_start):
 def test_resume_to_a_larger_L_end_keeps_rows(tmp_path):
     run_sweep(tiny_plan(tmp_path, L_end=11.0))
     run_sweep(tiny_plan(tmp_path))
-    run_sweep(tiny_plan(tmp_path, name="fresh.csv"))
-    with open(tmp_path / "out.csv", "rb") as a, open(tmp_path / "fresh.csv", "rb") as b:
+    run_sweep(tiny_plan(tmp_path, name="fresh.jsonl"))
+    with open(tmp_path / "out.jsonl", "rb") as a, open(tmp_path / "fresh.jsonl", "rb") as b:
         assert a.read() == b.read()
 
 
 def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
     # the periodic digest since the 5-smooth grid and the bounded start;
     # a sweep under the one before is refused
-    periodic = tiny_plan(tmp_path, name="periodic.csv")
+    periodic = tiny_plan(tmp_path, name="periodic.jsonl")
     assert periodic.fingerprint() == (
         "fa656e510dc810a646c646cd12b0669fc5c7b460b53d3f6780084a93b87057c7")
     before = "4ea361e8ea1ca39ce027169e9c677bcf52c7aeabbab74cb6253d7e9374451a2b"
     with open(periodic.output_path, "w") as fh:
-        fh.write(f"# fingerprint={before}\n{header_row(2)}\n")
+        fh.write(f"# fingerprint={before}\n")
     with pytest.raises(FingerprintMismatch):
         run_sweep(periodic)
     plan = tiny_plan(tmp_path, bc="odd")
@@ -176,7 +177,7 @@ def test_odd_sweep_from_coordinate_frame_is_refused(tmp_path):
             # the digest while spectra started from grid-point perturbations
             "8a3cde559d677701aaacab87f8610c388a76343448321bfd5d3712eb4ca3ea1f"):
         with open(plan.output_path, "w") as fh:
-            fh.write(f"# fingerprint={old}\n{header_row(2)}\n")
+            fh.write(f"# fingerprint={old}\n")
         with pytest.raises(FingerprintMismatch):
             run_sweep(plan)
 
@@ -187,14 +188,14 @@ def _todo(plan):
 
 def _data_rows(plan):
     return [ln for ln in Path(plan.output_path).read_text().splitlines()
-            if not ln.startswith(("#", "L,"))]
+            if not ln.startswith("#")]
 
 
 def test_worker_count_does_not_change_output(tmp_path):
     # L = 10.0..10.4 all have n_modes 15: one group of 5 with one worker,
     # groups of 3 and 2 with two
-    a = tiny_plan(tmp_path, name="a.csv", workers=1, L_end=10.4, dL=0.1)
-    b = tiny_plan(tmp_path, name="b.csv", workers=2, L_end=10.4, dL=0.1)
+    a = tiny_plan(tmp_path, name="a.jsonl", workers=1, L_end=10.4, dL=0.1)
+    b = tiny_plan(tmp_path, name="b.jsonl", workers=2, L_end=10.4, dL=0.1)
     assert [len(g) for g in _groups(a, _todo(a))] == [5]
     assert [len(g) for g in _groups(b, _todo(b))] == [3, 2]
     run_sweep(a)
@@ -246,7 +247,7 @@ def test_group_rows_equal_single_point_runs(tmp_path, bc, L_start, L_end, dL, m,
     run_sweep(plan)
     singles = [compute_point(bc, float(L), plan.k_max, lyap, plan.point_seed(i))
                for i, L in _todo(plan)]
-    assert _data_rows(plan) == [record_to_row(rec) for rec in singles]
+    assert _data_rows(plan) == [record_line(rec) for rec in singles]
     assert all("failed" not in rec.flags for rec in singles)
 
 
@@ -268,13 +269,13 @@ def test_a_failing_member_flags_only_itself(tmp_path, monkeypatch):
     records = run_sweep(plan)
     assert [r.flag == "failed" for r in records] == [False, True, False, False]
     rows = _data_rows(plan)
-    assert [rows[i] for i in (0, 2, 3)] == [record_to_row(singles[i]) for i in (0, 2, 3)]
+    assert [rows[i] for i in (0, 2, 3)] == [record_line(singles[i]) for i in (0, 2, 3)]
 
 
 def test_an_error_that_is_no_run_failure_ends_the_sweep_and_keeps_its_rows(
         tmp_path, monkeypatch):
     plan = tiny_plan(tmp_path)
-    run_sweep(tiny_plan(tmp_path, name="fresh.csv"))
+    run_sweep(tiny_plan(tmp_path, name="fresh.jsonl"))
     spectrum = sweep.compute_spectrum
 
     def faulty(system, cfg, u0=None):
@@ -285,11 +286,21 @@ def test_an_error_that_is_no_run_failure_ends_the_sweep_and_keeps_its_rows(
     monkeypatch.setattr(sweep, "compute_spectrum", faulty)
     with pytest.raises(RuntimeError):
         run_sweep(plan)
-    assert [row.split(",")[0] for row in _data_rows(plan)] == ["10", "11"]
+    assert [rec.L for rec in read_records(plan.output_path)] == [10.0, 11.0]
     monkeypatch.undo()
     run_sweep(plan)
     assert (Path(plan.output_path).read_bytes()
-            == (tmp_path / "fresh.csv").read_bytes())
+            == (tmp_path / "fresh.jsonl").read_bytes())
+
+
+def _with_dky_999_at_L10(text):
+    """``text`` of a record file with the dky of its L=10 record set to 999."""
+    lines = text.split("\n")
+    for i, ln in enumerate(lines):
+        if ln.startswith('{"L": 10.0,'):
+            lines[i] = ln.replace(f'"dky": {json.loads(ln)["dky"]!r}', '"dky": 999.0')
+            assert lines[i] != ln
+    return "\n".join(lines)
 
 
 def test_read_records_checks_dky_consistency(tmp_path):
@@ -299,14 +310,8 @@ def test_read_records_checks_dky_consistency(tmp_path):
     for rec in records:
         assert abs(kaplan_yorke(rec.exponents).dimension - rec.dky) <= 1e-9
     # corrupt one dky on disk
-    text = Path(plan.output_path).read_text().split("\n")
-    for i, ln in enumerate(text):
-        if ln.startswith("10,"):
-            cells = ln.split(",")
-            cells[4] = "999.0"
-            text[i] = ",".join(cells)
-    with open(plan.output_path, "w") as fh:
-        fh.write("\n".join(text))
+    path = Path(plan.output_path)
+    path.write_text(_with_dky_999_at_L10(path.read_text()))
     with pytest.raises(ValueError):
         read_records(plan.output_path)
 
@@ -314,22 +319,70 @@ def test_read_records_checks_dky_consistency(tmp_path):
 def test_resume_refuses_a_stored_dky_that_disagrees_with_its_exponents(tmp_path):
     plan = tiny_plan(tmp_path, L_end=11.0)
     run_sweep(plan)
-    text = Path(plan.output_path).read_text()
-    row = next(ln for ln in text.splitlines() if ln.startswith("10,"))
-    cells = row.split(",")
-    cells[4] = "999.0"
-    Path(plan.output_path).write_text(text.replace(row, ",".join(cells)))
-    with pytest.raises(ValueError, match=r"out\.csv:4: stored D_KY 999\.0 inconsistent"):
+    path = Path(plan.output_path)
+    path.write_text(_with_dky_999_at_L10(path.read_text()))
+    with pytest.raises(ValueError, match=r"out\.jsonl:3: stored D_KY 999\.0 inconsistent"):
         run_sweep(tiny_plan(tmp_path))
 
 
-def test_read_records_refuses_a_row_before_the_header(tmp_path):
-    path = tmp_path / "headless.csv"
-    rec = SpectrumRecord(L=22.0, bc="periodic", seed=0, dky=1.5, j=1,
-                         exponents=np.array([0.1, -0.2]))
-    path.write_text(f"# no header\n{record_to_row(rec)}\n{header_row(2)}\n")
-    with pytest.raises(ValueError, match=r"headless\.csv:2: row before the header"):
+def _failed_record():
+    # every field at an edge: NaN exponents and D_KY, the largest seed, two
+    # flags and an L with no short binary form
+    return SpectrumRecord(L=54.1, bc="odd", seed=2**64 - 1, dky=float("nan"), j=0,
+                          exponents=np.full(2, np.nan),
+                          flags=frozenset({"failed", "nonchaotic"}))
+
+
+def test_a_failed_record_round_trips_exactly(tmp_path):
+    rec = _failed_record()
+    path = tmp_path / "failed.jsonl"
+    sweep.write_records(str(path), {"bc": "odd"}, [rec])
+    [back] = read_records(str(path))
+    assert (back.L, back.bc, back.seed, back.j, back.flags) == (
+        54.1, "odd", 2**64 - 1, 0, frozenset({"failed", "nonchaotic"}))
+    assert back.flag == "failed|nonchaotic"
+    assert np.isnan(back.dky) and back.exponents.shape == (2,)
+    assert np.all(np.isnan(back.exponents))
+    assert record_line(back) == record_line(rec)
+
+
+@pytest.mark.parametrize("line, what", [
+    ("54.1,odd,18446744073709551615,failed", "not a JSON record"),
+    ('["L", "bc"]', "not a record of exactly the keys"),
+    ("missing", "not a record of exactly the keys"),
+    ("extra", "not a record of exactly the keys"),
+    ({"flags": 3}, "not a valid record"),
+    ({"exponents": "x"}, "not a valid record"),
+    ({"flags": [], "dky": None}, "not a valid record")],
+    ids=["csv", "list", "missing", "extra", "flags-int", "exponents-str", "dky-null"])
+def test_read_records_refuses_a_line_that_is_no_record(tmp_path, line, what):
+    fields = json.loads(record_line(_failed_record()))
+    if line == "missing":
+        del fields["j"]
+        line = json.dumps(fields)
+    elif line == "extra":
+        line = json.dumps({**fields, "wall_time": 1.0})
+    elif isinstance(line, dict):
+        line = json.dumps({**fields, **line})
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"# fingerprint=0\n# echo\n{record_line(_failed_record())}\n{line}\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:4: {what}"):
         read_records(str(path))
+
+
+def test_check_fingerprint_refuses_a_file_of_other_settings(tmp_path):
+    path = str(tmp_path / "one.jsonl")
+    settings = {"bc": "odd", "L": 54.1}
+    sweep.write_records(path, settings, [_failed_record()])
+    sweep.check_fingerprint(path, settings)
+    with pytest.raises(FingerprintMismatch):
+        sweep.check_fingerprint(path, {**settings, "L": 54.2})
+
+
+def test_a_fingerprint_of_an_unknown_bc_fails_loudly():
+    # only settings without a bc (an oracle's) merge no NUMERICS entry
+    with pytest.raises(KeyError):
+        sweep.fingerprint({"bc": "dirichlet", "L": 22.0})
 
 
 def test_write_lines_cut_short_leaves_the_previous_file_whole(tmp_path):
@@ -354,18 +407,6 @@ def test_write_lines_cut_short_leaves_the_previous_file_whole(tmp_path):
         sweep.write_lines(str(path), interrupted())
     assert path.read_text() == "# kept\na,b\n1,2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
-
-
-def test_record_row_round_trip():
-    rec = SpectrumRecord(L=10.1, bc="odd", seed=123456789, dky=2.0 / 3.0, j=1,
-                         exponents=np.array([0.1, -1.0 / 3.0]),
-                         flags=frozenset({"nonchaotic"}))
-    back = row_to_record(record_to_row(rec))
-    assert back.L == rec.L and back.bc == rec.bc and back.seed == rec.seed
-    assert back.dky == rec.dky and back.j == rec.j
-    assert np.array_equal(back.exponents, rec.exponents)
-    assert back.flags == rec.flags
-    assert header_row(2) == "L,bc,seed,flag,dky,j,lambda_1,lambda_2"
 
 
 def test_failed_point_is_flagged_not_fatal(tmp_path):
