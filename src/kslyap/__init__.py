@@ -9,8 +9,7 @@ from .errors import (EmptyWindow, FingerprintMismatch, InsufficientData,
 from .ks import (ODD_PERIODIC, OddPeriodicFDModel, PERIODIC,
                  PeriodicSpectralModel, make_model)
 from .lyapunov import (LyapunovConfig, LyapunovResult, burn_in, compute_spectrum,
-                       propagate_frame, reorthonormalize,
-                       scan_reorthonormalization_interval)
+                       propagate_frame, reorthonormalize)
 from .analysis import (KaplanYorkeResult, PowerLawFit, WindowedStat,
                        fit_dky_linear, fit_power_law, kaplan_yorke,
                        scan_exponent_p, windowed_median_mad)

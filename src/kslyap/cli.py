@@ -1,14 +1,15 @@
 """Command-line interface: simulate, lyap, sweep, fit, dky.
 
 :data:`COMMANDS` declares each subcommand's options once; the parser, the
-config-file reader and the "requires" errors read it.  Every output file
-starts with ``#``-prefixed metadata lines echoing the full effective
-configuration, so re-running the same command reproduces the file byte for
-byte.  The spectra of ``lyap --out`` and ``sweep`` are record files
-(:func:`kslyap.sweep.write_records`), which ``fit`` and ``dky`` read; every
-other output is a CSV table.  Options may also be supplied through
-``--config FILE`` with flat ``key = value`` lines; explicit flags override
-the file, and a key that no subcommand takes is refused.
+config-file reader and the "requires" errors read it.  ``lyap`` computes one
+KS spectrum and ``sweep`` one per grid point; their output files are record
+files (:func:`kslyap.sweep.write_records`), named by the settings their
+numbers depend on, which ``fit`` and ``dky`` read.  ``simulate``, ``fit``
+and ``dky`` write CSV tables whose ``#``-prefixed first lines echo the full
+effective configuration.  Re-running the same command reproduces its files
+byte for byte.  Options may also be supplied through ``--config FILE`` with
+flat ``key = value`` lines; explicit flags override the file, and a key that
+no subcommand takes is refused.
 """
 
 import argparse
@@ -18,10 +19,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis
-from .dynamics import initial_state, integrate, lorenz_system, diagonal_linear_system
+from .dynamics import initial_state, integrate
 from .errors import InsufficientData, IntegrationBlowUp, KslyapError
 from .ks import DEFAULT_K_MAX, PERIODIC, make_model
-from .lyapunov import LyapunovConfig, compute_spectrum, scan_reorthonormalization_interval
+from .lyapunov import LyapunovConfig, compute_spectrum
 from .sweep import (SweepPlan, point_settings, read_records, run_sweep,
                     spectrum_record, write_lines, write_records)
 
@@ -39,8 +40,8 @@ COMMANDS = {
                   "seed": _SPECTRUM["seed"], "t_end": 500.0, "dt_out": 0.5},
                  ("L", "out")),
     "lyap": ("compute one Lyapunov spectrum",
-             {"out": None, **_DOMAIN, **_SPECTRUM, "scan_T": None, "system": None},
-             ()),
+             {"out": None, **_DOMAIN, **_SPECTRUM},
+             ("L",)),
     "sweep": ("sweep spectra over a grid of domain sizes",
               {"out": None, "bc": PERIODIC, "L_start": None, "L_end": None,
                "dL": 0.1, "kmax": DEFAULT_K_MAX, **_SPECTRUM, "workers": 1},
@@ -77,20 +78,19 @@ def _read_config_file(path):
     return values
 
 
-def _effective(args, options=None):
-    """The command's options (or ``options``, {option: default}) merged from
-    defaults, config file and explicit flags, in that order; a required
-    option still missing is an error."""
+def _effective(args):
+    """The command's options merged from defaults, config file and explicit
+    flags, in that order; a required option still missing is an error."""
     _, table, requires = COMMANDS[args.command]
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = {}
-    for key, default in (options or table).items():
+    for key, default in table.items():
         value = getattr(args, key)
         cfg[key] = file_values.get(key, default) if value is None else value
     if any(not cfg[key] for key in requires):
-        flags = [_flag(key) for key in requires]
-        raise KslyapError(f"{args.command} requires {', '.join(flags[:-1])} "
-                          f"and {flags[-1]}")
+        *rest, last = [_flag(key) for key in requires]
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise KslyapError(f"{args.command} requires {names}")
     return cfg
 
 
@@ -148,55 +148,17 @@ def cmd_simulate(args):
     return 0
 
 
-def _oracle_system(name):
-    """An oracle system and its default time step."""
-    if name == "lorenz":
-        return lorenz_system(), 0.005
-    if name == "diaglin":
-        return diagonal_linear_system([0.3, -0.1, -2.0]), 0.01
-    raise KslyapError(f"unknown oracle system {name!r}")
-
-
 def cmd_lyap(args):
     cfg = _effective(args)
-    if cfg["system"]:
-        system, dt = _oracle_system(cfg["system"])
-        # the oracle's step unless a flag or the config file sets dt; no
-        # domain, boundary condition or resolution applies, so none is echoed
-        options = {k: v for k, v in COMMANDS["lyap"][1].items() if k not in _DOMAIN}
-        cfg = _effective(args, {**options, "dt": dt})
-        cfg["m"] = min(int(cfg["m"]), system.dim)
-        bc, L = cfg["system"], float("nan")
-    else:
-        if cfg["L"] is None:
-            raise KslyapError("lyap requires --L (or --system)")
-        bc, L = cfg["bc"], float(cfg["L"])
-        system = make_model(bc, L, float(cfg["kmax"]))
+    bc, L, k_max = cfg["bc"], float(cfg["L"]), float(cfg["kmax"])
+    system = make_model(bc, L, k_max)
     lyap = _lyap_config(cfg)
-
-    if cfg["scan_T"]:
-        T_values = np.array([float(v) for v in str(cfg["scan_T"]).split(",")])
-        T_values, rows = scan_reorthonormalization_interval(system, lyap, T_values)
-        lines = _meta_lines("lyap --scan-T", cfg)
-        lines.append("T," + ",".join(f"lambda_{i}" for i in range(1, lyap.m + 1)))
-        for T, row in zip(T_values, rows):
-            lines.append(_g17(T) + "," + ",".join(_g17(v) for v in row))
-        if cfg["out"]:
-            write_lines(cfg["out"], lines)
-        print("\n".join(lines))
-        return 0
-
-    result = compute_spectrum(system, lyap)
-    rec = spectrum_record(L, bc, lyap.seed, result.exponents)
+    rec = spectrum_record(L, bc, lyap.seed, compute_spectrum(system, lyap).exponents)
     for i, lam in enumerate(rec.exponents, 1):
         print(f"lambda_{i:<3d} {lam: .6f}")
     print(f"D_KY      {rec.dky:.4f}   (j={rec.j})")
     if cfg["out"]:
-        # an oracle system has no domain and no NUMERICS entry: its record
-        # file is named by its name and the spectrum's settings alone
-        settings = ({"system": bc, **asdict(lyap)} if cfg["system"]
-                    else point_settings(bc, L, float(cfg["kmax"]), lyap))
-        write_records(cfg["out"], settings, [rec])
+        write_records(cfg["out"], point_settings(bc, L, k_max, lyap), [rec])
     return 0
 
 

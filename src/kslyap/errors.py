@@ -52,7 +52,7 @@ class FingerprintMismatch(KslyapError):
     """A record file was produced with a different configuration."""
 
 
-#: The failures of a run: they flag a sweep's grid point ``failed`` and give
-#: a ``--scan-T`` row of NaNs.  Every other error is a fault of the
-#: configuration or the program and ends the command.
+#: The failures of a run: they flag a sweep's grid point ``failed``.  Every
+#: other error is a fault of the configuration or the program and ends the
+#: command.
 RUN_FAILURES = (IntegrationBlowUp, NonFiniteColumn, RankDeficient)

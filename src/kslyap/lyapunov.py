@@ -30,13 +30,12 @@ never interact within an interval, so every number is the same either way.
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import initial_state, integrate
-from .errors import (RUN_FAILURES, IntegrationBlowUp, NonFiniteColumn,
-                     RankDeficient)
+from .errors import IntegrationBlowUp, NonFiniteColumn, RankDeficient
 
 #: Numbers in an interval's block, (m+1) rows x dim x members, from which a
 #: spectrum's intervals are split between two processes.  Accumulation time
@@ -295,23 +294,3 @@ def _serve(system, T, dt, conn, parent_end):
                 reply = exc
         conn.send((reply, [(w.message, w.category, w.filename, w.lineno)
                            for w in caught]))
-
-
-def scan_reorthonormalization_interval(system, cfg, T_values):
-    """Recompute the spectrum for each T, everything else held fixed.
-
-    Returns (T_values, exponent matrix) with one row per T.  A run that
-    fails (``errors.RUN_FAILURES``) gives a row of NaNs rather than aborting
-    the scan; any other error, such as an m above the system's dimension,
-    is raised.
-    """
-    T_values = np.asarray(T_values, dtype=float)
-    if not np.all((T_values > 0) & (T_values < np.inf)) or np.any(np.diff(T_values) <= 0):
-        raise ValueError("T_values must be positive, finite and strictly ascending")
-    rows = np.full((T_values.size, cfg.m), np.nan)
-    for idx, T in enumerate(T_values):
-        try:
-            rows[idx] = compute_spectrum(system, replace(cfg, T=float(T))).exponents
-        except RUN_FAILURES as exc:
-            warnings.warn(f"T={T:g} failed: {exc}")
-    return T_values, rows

@@ -138,7 +138,7 @@ def point_settings(bc, L, k_max, lyap):
 
 def _payload(settings):
     """``settings`` merged with the :data:`NUMERICS` entry of their ``bc``;
-    settings without a ``bc`` (an oracle system's) merge none."""
+    settings without a ``bc`` (of no KS model) merge none."""
     return {**settings, **(NUMERICS[settings["bc"]] if "bc" in settings else {})}
 
 
@@ -184,8 +184,8 @@ def read_records(path):
     A ``ValueError`` naming the file and line refuses a final line without
     its newline (an interrupted write; resume cuts it off before reading), a
     line that is not a JSON object of exactly the keys :data:`RECORD_KEYS`,
-    a value of the wrong type, and a record (not failed) whose D_KY is more
-    than 1e-9 off its exponents'."""
+    a value of the wrong type, an ``L`` that is not finite and positive, and
+    a record (not failed) whose D_KY is more than 1e-9 off its exponents'."""
     records = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -205,10 +205,13 @@ def read_records(path):
             try:
                 rec = SpectrumRecord(**{**fields, "flags": frozenset(fields["flags"]),
                                         "exponents": np.array(fields["exponents"], dtype=float)})
+                domain = np.isfinite(rec.L) and rec.L > 0
                 consistent = ("failed" in rec.flags or abs(
                     analysis.kaplan_yorke(rec.exponents).dimension - rec.dky) <= 1e-9)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}: not a valid record ({exc})") from None
+            if not domain:
+                raise ValueError(f"{where}: L={rec.L!r} is not a finite domain size > 0")
             if not consistent:
                 raise ValueError(f"{where}: stored D_KY {rec.dky!r} inconsistent "
                                  f"with exponents at L={rec.L!r}")

@@ -323,8 +323,8 @@ def test_step_halving_stability():
 # -- criterion: reorthonormalization-interval scan -----------------------------
 
 def test_T_scan_odd_L100():
-    # each T is a spectrum of its own, as scan_reorthonormalization_interval
-    # computes it: everything but T held fixed
+    # each T is a spectrum of its own, everything but T held fixed: its cache
+    # file is the record file of `kslyap lyap --bc odd --L 100 --m 24 --T T`
     rows = np.array([ks_spectrum("odd", 100.0, m=24, T=T) for T in T_SCAN])
     spread = float(np.max(rows.max(axis=0) - rows.min(axis=0)))
     _report("T-scan odd L=100", spread < 0.02,

@@ -10,8 +10,8 @@ import pytest
 import kslyap
 from kslyap import IntegrationBlowUp, LyapunovConfig, cli, kaplan_yorke
 from kslyap.cli import main
-from kslyap.sweep import (SpectrumRecord, check_fingerprint, fingerprint, point_settings,
-                          read_records, record_line, write_records)
+from kslyap.sweep import (SpectrumRecord, fingerprint, point_settings, read_records,
+                          record_line, spectrum_record, write_records)
 
 
 def run(argv, capsys):
@@ -84,7 +84,6 @@ TINY = ["--m", "4", "--tau", "0", "--T", "0.05", "--N", "1"]
     ["lyap", "--L", "22", "--kmax", "nan"] + TINY,
     ["lyap", "--L", "22"] + TINY + ["--tau", "inf"],
     ["lyap", "--L", "22"] + TINY + ["--T", "inf"],
-    ["lyap", "--system", "lorenz"] + TINY + ["--tau", "inf"],
     ["simulate", "--L", "22", "--t-end", "inf"],
     ["simulate", "--L", "22", "--dt-out", "nan"],
     ["simulate", "--L", "22", "--t-end", "1", "--dt", "inf"],
@@ -143,57 +142,12 @@ def test_simulate_reports_the_blow_up_time(tmp_path, monkeypatch, capsys):
     assert walks == [1.0] * 3
 
 
-def test_lyap_oracle_diaglin(tmp_path, capsys):
-    out = tmp_path / "spec.jsonl"
-    code, text, _ = run(["lyap", "--system", "diaglin", "--tau", "0",
-                         "--T", "1", "--N", "50", "--out", str(out)], capsys)
-    assert code == 0
-    values = [float(ln.split()[1]) for ln in text.splitlines()
-              if ln.startswith("lambda_")]
-    assert np.allclose(values, [0.3, -0.1, -2.0], atol=1e-3)
-    # the oracle's settings are its name and the spectrum's, which its
-    # fingerprint line names with no NUMERICS entry merged
-    settings = {"system": "diaglin", "m": 3, "tau": 0.0, "T": 1.0, "N": 50,
-                "epsilon": 1e-6, "seed": 0, "dt": 0.01}
-    check_fingerprint(out, settings)
-    [rec] = read_records(out)
-    assert (rec.bc, rec.seed, len(rec.exponents)) == ("diaglin", 0, 3)
-    assert np.isnan(rec.L)
-    assert np.allclose(rec.exponents, values, atol=5e-7)
-    assert abs(rec.dky - kaplan_yorke(rec.exponents).dimension) < 1e-12
-
-
 def _lyap_file(path):
     """(settings echoed on the metadata line, the one record); an echoed
     value may hold spaces (the NUMERICS entry's)."""
     echo = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", path.read_text().split("\n")[1][2:]))
     [rec] = read_records(path)
     return echo, rec
-
-
-def test_lyap_oracle_dt_flag_is_used_and_echoed(tmp_path, capsys):
-    argv = ["lyap", "--system", "lorenz", "--tau", "1", "--T", "0.5", "--N", "4"]
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--dt", "0.001", "--out", str(b)]) == 0
-    capsys.readouterr()
-    echo_a, rec_a = _lyap_file(a)
-    echo_b, rec_b = _lyap_file(b)
-    assert (echo_a["dt"], echo_a["m"]) == ("0.005", "3")  # the oracle's defaults
-    assert (echo_b["dt"], echo_b["m"]) == ("0.001", "3")
-    assert list(rec_a.exponents) != list(rec_b.exponents)
-
-
-@pytest.mark.parametrize("system", ["lorenz", "diaglin"])
-def test_lyap_oracle_echo_names_only_settings_that_apply(tmp_path, capsys, system):
-    out = tmp_path / "a.jsonl"
-    assert main(["lyap", "--system", system, "--tau", "1", "--T", "0.5", "--N", "2",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    echo, rec = _lyap_file(out)
-    assert echo["system"] == system and rec.bc == system
-    assert not {"bc", "L", "kmax"} & set(echo)
-    assert {"m", "tau", "T", "N", "epsilon", "seed", "dt"} <= set(echo)
 
 
 def test_lyap_ks_echo_keeps_the_domain(tmp_path, capsys):
@@ -203,51 +157,27 @@ def test_lyap_ks_echo_keeps_the_domain(tmp_path, capsys):
     capsys.readouterr()
     echo, _ = _lyap_file(out)
     assert (echo["L"], echo["bc"], echo["k_max"]) == ("22.0", "periodic", "9.0")
-    assert "system" not in echo
-
-
-def test_lyap_config_file_dt_overrides_the_oracle_step(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("dt = 0.001\n")
-    out = tmp_path / "a.jsonl"
-    assert main(["lyap", "--system", "lorenz", "--config", str(cfgfile), "--tau", "1",
-                 "--T", "0.5", "--N", "2", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert _lyap_file(out)[0]["dt"] == "0.001"
 
 
 def test_lyap_row_flags_match_a_sweep_row(tmp_path, capsys):
-    # two exponents summing to 0.2 > 0: D_KY = j = m, which a sweep flags
-    out = tmp_path / "m2.jsonl"
-    code, _, _ = run(["lyap", "--system", "diaglin", "--m", "2", "--tau", "0",
-                      "--T", "1", "--N", "10", "--out", str(out)], capsys)
-    assert code == 0
-    _, rec = _lyap_file(out)
+    # no burn-in: the two fastest-growing modes of L=22 give two positive
+    # exponents, so D_KY = j = m, which a sweep flags
+    settings = ["--m", "2", "--tau", "0", "--T", "1", "--N", "10"]
+    lyap, sweep = tmp_path / "m2.jsonl", tmp_path / "s.jsonl"
+    assert main(["lyap", "--L", "22", "--out", str(lyap)] + settings) == 0
+    assert main(["sweep", "--L-start", "22", "--L-end", "22", "--out", str(sweep)]
+                + settings) == 0
+    capsys.readouterr()
+    _, rec = _lyap_file(lyap)
     assert rec.flag == "unsaturated" and rec.j == 2
-
-
-def test_lyap_oracle_lorenz_scan_T(tmp_path, capsys):
-    out = tmp_path / "scan.csv"
-    code, _, _ = run(["lyap", "--system", "lorenz", "--m", "3", "--tau", "5",
-                      "--N", "40", "--scan-T", "0.25,0.5", "--out", str(out)], capsys)
-    assert code == 0
-    data = [ln for ln in out.read_text().split("\n") if ln and not ln.startswith("#")]
-    assert data[0] == "T,lambda_1,lambda_2,lambda_3"
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in data[1:]])
-    assert rows.shape == (2, 4)
-    assert np.all(np.isfinite(rows))
-
-
-def test_lyap_requires_L_or_system(capsys):
-    code, _, err = run(["lyap"], capsys)
-    assert code == 1 and "error" in err
+    [swept] = read_records(sweep)
+    assert swept.flag == rec.flag and swept.j == rec.j
 
 
 #: Each subcommand's flags after -h, --help and --config, in help order.
 FLAGS = {
     "simulate": "--out --bc --L --kmax --dt --seed --t-end --dt-out",
-    "lyap": "--out --bc --L --kmax --m --tau --T --N --epsilon --seed --dt "
-            "--scan-T --system",
+    "lyap": "--out --bc --L --kmax --m --tau --T --N --epsilon --seed --dt",
     "sweep": "--out --bc --L-start --L-end --dL --kmax --m --tau --T --N --epsilon "
              "--seed --dt --workers",
     "fit": "--out --results --halfwidth --p-grid --L-centers",
@@ -288,16 +218,10 @@ def test_the_benchmark_command_lines_parse(argv):
      "sweep requires --L-start, --L-end and --out"),
     (["fit", "--out", "f"], "fit requires --results and --out"),
     (["dky", "--results", "s.csv"], "dky requires --results and --out"),
+    (["lyap"], "lyap requires --L"),
 ])
 def test_a_missing_required_option_is_named(capsys, argv, message):
     assert run(argv, capsys) == (1, "", f"error: {message}\n")
-
-
-def test_lyap_scan_T_stops_on_a_configuration_error(capsys):
-    code, out, err = run(["lyap", "--L", "22", "--m", "9999", "--tau", "0", "--N", "1",
-                          "--scan-T", "0.5,1"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "exceeds system dimension" in err
 
 
 def test_sweep_bad_range_exits_nonzero(tmp_path, capsys):
@@ -465,14 +389,11 @@ def test_every_output_file_is_written_through_one_helper(tmp_path, monkeypatch, 
     monkeypatch.setattr(kslyap.sweep, "write_lines", spy)
     for argv, out in [
             (["simulate", "--L", "22", "--t-end", "0"], "sim.csv"),
-            (["lyap", "--system", "diaglin", "--tau", "0", "--T", "1", "--N", "2"],
-             "lyap.jsonl"),
-            (["lyap", "--system", "diaglin", "--tau", "0", "--N", "2", "--scan-T", "1"],
-             "scan.csv"),
+            (["lyap", "--L", "22"] + TINY, "lyap.jsonl"),
             (["fit", "--results", str(results)], "fit"),
             (["dky", "--results", str(results)], "dky.csv")]:
         assert main(argv + ["--out", str(tmp_path / out)]) == 0
-    assert written == ["sim.csv", "lyap.jsonl", "scan.csv", "fit_stats.csv",
+    assert written == ["sim.csv", "lyap.jsonl", "fit_stats.csv",
                        "fit_pscan.csv", "fit_fit.csv", "dky.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["synth.jsonl"])
 
@@ -495,7 +416,6 @@ def test_fit_leaves_failed_rows_out_of_the_windows(tmp_path, capsys):
 def _write_dky_rows(path, rows):
     """Record file of (L, j, f) rows with D_KY = j + f, m=4; f=None makes the
     row unsaturated (all four exponents positive, D_KY clipped to 4)."""
-    from kslyap.sweep import spectrum_record
     records = []
     for L, j, f in rows:
         if f is None:
@@ -552,6 +472,23 @@ def test_dky_synthetic_slope(tmp_path, capsys):
     assert slope == pytest.approx((3.75 - 2.5) / 10.0, abs=1e-12)
 
 
+def _nan_L_row():
+    """A record line of a spectrum of no KS domain: L is NaN."""
+    return record_line(spectrum_record(float("nan"), "lorenz", 0,
+                                       np.array([0.9, 0.0, -14.6])))
+
+
+def test_fit_refuses_a_record_whose_L_is_no_domain_size(tmp_path, capsys):
+    results = tmp_path / "synth.jsonl"
+    _write_synthetic_sweep(results, Ls=[80.0, 90.0])
+    results.write_text(results.read_text() + _nan_L_row() + "\n")
+    code, _, err = run(["fit", "--results", str(results), "--out", str(tmp_path / "f")],
+                       capsys)
+    assert (code, err) == (1, f"error: {results}:5: L=nan is not a finite domain "
+                              "size > 0\n")
+    assert list(tmp_path.iterdir()) == [results]
+
+
 @pytest.mark.parametrize("tail", [
     lambda line: line[:line.index('"bc": ') + 9],              # inside bc
     lambda line: line[:line.index('"flags": ') + 10],          # inside flags
@@ -575,11 +512,14 @@ def test_dky_refuses_a_torn_last_row(tmp_path, capsys, tail):
     '{"L": 80.0, "bc": "periodic"}',                    # keys missing
     "extra",                                            # a key too many
     "flags",                                            # flags not a list
+    "L-nan",                                            # no domain size
 ])
 def test_dky_refuses_a_line_that_is_no_record(tmp_path, capsys, line):
     results = tmp_path / "synth.jsonl"
     _write_synthetic_sweep(results, Ls=[80.0, 90.0])
-    if line == "extra":
+    if line == "L-nan":
+        line = _nan_L_row()
+    elif line == "extra":
         line = _failed_rows([100.0])[0][:-2] + ', "wall_time": 1.0}'
     elif line == "flags":
         line = _failed_rows([100.0])[0][:-1].replace('"flags": ["failed"]', '"flags": 3')
@@ -603,7 +543,7 @@ def test_lyap_out_is_the_record_file_of_its_settings(tmp_path, capsys):
     result = kslyap.compute_spectrum(kslyap.make_model("periodic", 22.0, 9.0), lyap)
     expected = tmp_path / "expected.jsonl"
     write_records(str(expected), settings,
-                  [kslyap.sweep.spectrum_record(22.0, "periodic", 0, result.exponents)])
+                  [spectrum_record(22.0, "periodic", 0, result.exponents)])
     assert out.read_bytes() == expected.read_bytes()
     assert out.read_text().startswith(f"# fingerprint={fingerprint(settings)}\n")
 

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kslyap import (DynamicalSystem, IntegrationBlowUp, KslyapError, LyapunovConfig,
                     RankDeficient, lyapunov, burn_in, compute_spectrum, diagonal_linear_system,
                     initial_state, lorenz_system, make_model, propagate_frame,
-                    reorthonormalize, scan_reorthonormalization_interval)
+                    reorthonormalize)
 
 DT = 0.01
 
@@ -162,32 +163,24 @@ def test_full_ks_spectrum_sums_to_the_trace_of_the_linear_part(bc, L, bound):
 
 
 def test_scan_interval_linear_flow_is_constant():
+    # a T-scan is one spectrum per T, everything else held fixed; a linear
+    # flow's exponents do not depend on T
     system = diagonal_linear_system([0.05, -0.1])
-    cfg = LyapunovConfig(m=2, tau=0.0, T=1.0, N=20, epsilon=1e-6, seed=0, dt=DT)
-    _, rows = scan_reorthonormalization_interval(system, cfg, [0.5, 1.0, 2.0, 4.0])
+    rows = np.array([
+        compute_spectrum(system, LyapunovConfig(m=2, tau=0.0, T=T, N=20, epsilon=1e-6,
+                                                seed=0, dt=DT)).exponents
+        for T in (0.5, 1.0, 2.0, 4.0)])
     assert np.max(rows.max(axis=0) - rows.min(axis=0)) < 1e-3
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_scan_interval_refuses_a_non_finite_T_before_computing(monkeypatch, bad):
-    def compute(*args):
-        raise AssertionError("a spectrum was computed")
-
-    monkeypatch.setattr(lyapunov, "compute_spectrum", compute)
-    cfg = LyapunovConfig(m=2, tau=0.0, T=1.0, N=2, dt=DT)
-    with pytest.raises(ValueError, match="positive, finite and strictly ascending"):
-        scan_reorthonormalization_interval(lorenz_system(), cfg, [0.5, bad])
-
-
-def test_scan_interval_records_failures_as_nan():
-    # strongly contracting flow underflows the frame for large T; its
-    # diagonal linear part is integrated exactly by ETDRK4
+def test_a_long_interval_of_a_contracting_flow_is_rank_deficient():
+    # the frame underflows over T=10 though not over T=0.1; its diagonal
+    # linear part is integrated exactly by ETDRK4
     system = diagonal_linear_system([-400.0, -500.0])
     cfg = LyapunovConfig(m=2, tau=0.0, T=0.1, N=3, epsilon=1e-6, seed=0, dt=0.1)
-    with pytest.warns(UserWarning):
-        _, rows = scan_reorthonormalization_interval(system, cfg, [0.1, 10.0])
-    assert np.all(np.isfinite(rows[0]))
-    assert np.all(np.isnan(rows[1]))
+    assert np.all(np.isfinite(compute_spectrum(system, cfg).exponents))
+    with pytest.raises(RankDeficient, match=r"^interval 1/3: QR diagonal underflow"):
+        compute_spectrum(system, replace(cfg, T=10.0))
 
 
 def test_spectrum_m_exceeds_dimension():

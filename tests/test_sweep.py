@@ -353,8 +353,12 @@ def test_a_failed_record_round_trips_exactly(tmp_path):
     ("extra", "not a record of exactly the keys"),
     ({"flags": 3}, "not a valid record"),
     ({"exponents": "x"}, "not a valid record"),
-    ({"flags": [], "dky": None}, "not a valid record")],
-    ids=["csv", "list", "missing", "extra", "flags-int", "exponents-str", "dky-null"])
+    ({"flags": [], "dky": None}, "not a valid record"),
+    ({"L": "x"}, "not a valid record"),
+    ({"L": float("nan")}, "L=nan is not a finite domain size > 0"),
+    ({"L": 0.0}, "L=0.0 is not a finite domain size > 0")],
+    ids=["csv", "list", "missing", "extra", "flags-int", "exponents-str", "dky-null",
+         "L-str", "L-nan", "L-zero"])
 def test_read_records_refuses_a_line_that_is_no_record(tmp_path, line, what):
     fields = json.loads(record_line(_failed_record()))
     if line == "missing":
@@ -380,7 +384,7 @@ def test_check_fingerprint_refuses_a_file_of_other_settings(tmp_path):
 
 
 def test_a_fingerprint_of_an_unknown_bc_fails_loudly():
-    # only settings without a bc (an oracle's) merge no NUMERICS entry
+    # only settings without a bc merge no NUMERICS entry
     with pytest.raises(KeyError):
         sweep.fingerprint({"bc": "dirichlet", "L": 22.0})
 
